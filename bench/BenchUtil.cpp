@@ -17,7 +17,6 @@
 #include "workloads/Runner.h"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <thread>
 #include <sys/stat.h>
@@ -269,13 +268,6 @@ std::string isp::writeHotpathReport(unsigned Repeats) {
   }
   std::fprintf(F, "\n  ],\n");
 
-  // Interpreter wall-clock: switch vs threaded dispatch vs the block
-  // compiler, under the full aprof-trms pipeline.
-  if (!writeInterpDispatchSection(F, Repeats)) {
-    std::fclose(F);
-    return "";
-  }
-
   // Parallel tool fan-out sweep: the heaviest realistic tool stack
   // (both profilers plus memcheck and callgrind) under serial delivery
   // and under 1/2/4 dispatcher workers. The interesting number is
@@ -379,167 +371,6 @@ std::string isp::writeHotpathReport(unsigned Repeats) {
   std::fprintf(F, "}\n");
   std::fclose(F);
   return Path;
-}
-
-bool isp::writeInterpDispatchSection(FILE *F, unsigned Repeats) {
-  // The bench guest set: the high-static-coverage workloads where the
-  // block compiler can engage on most of the instruction stream, plus
-  // md as the hybrid (indirect-heavy) representative. Sizes are small
-  // enough for CI smoke, large enough for stable minima.
-  struct GuestSpec {
-    const char *Name;
-    uint64_t Size;
-  };
-  const GuestSpec Guests[] = {
-      {"md", 64}, {"smithwa", 96}, {"applu331", 96}, {"kdtree", 96}};
-
-  // "switch" (no block compile) is the pre-refactor fused loop: the
-  // baseline every speedup ratio is measured against. nulgrind keeps
-  // tool callback cost out of the comparison — this section measures
-  // the interpreter + dispatcher substrate, the per-tool section above
-  // covers full-pipeline slowdowns.
-  struct Config {
-    const char *Name;
-    bool Native;
-    DispatchMode Dispatch;
-    bool BlockCompile;
-  };
-  const Config Configs[] = {
-      {"native", true, DispatchMode::Auto, false},
-      {"switch", false, DispatchMode::Switch, false},
-      {"threaded", false, DispatchMode::Threaded, false},
-      {"switch+block", false, DispatchMode::Switch, true},
-      {"threaded+block", false, DispatchMode::Threaded, true},
-  };
-  constexpr size_t NumConfigs = sizeof(Configs) / sizeof(Configs[0]);
-
-  std::fprintf(F,
-               "  \"interp_dispatch\": {\n"
-               "    \"tool\": \"nulgrind\",\n"
-               "    \"threads\": 4,\n"
-               "    \"threaded_dispatch_available\": %s,\n"
-               "    \"workloads\": [",
-               ThreadedDispatchAvailable ? "true" : "false");
-
-  double GeomeanLogSum = 0;
-  size_t GeomeanCount = 0;
-  bool FirstGuest = true;
-  for (const GuestSpec &G : Guests) {
-    const WorkloadInfo *W = findWorkload(G.Name);
-    if (!W) {
-      std::fprintf(stderr, "hotpath report: workload '%s' not registered\n",
-                   G.Name);
-      return false;
-    }
-    WorkloadParams Params;
-    Params.Threads = 4;
-    Params.Size = G.Size;
-    std::string Error;
-    std::optional<Program> Prog = compileWorkload(*W, Params, &Error);
-    if (!Prog) {
-      std::fprintf(stderr, "hotpath report: %s\n", Error.c_str());
-      return false;
-    }
-
-    // Interleave the configs round-robin and keep per-config minima:
-    // sequential blocks of repeats confound config differences with
-    // machine drift, round-robin minima cancel it.
-    struct Best {
-      double Seconds = 1e100;
-      RunStats Stats;
-      uint64_t EventsEmitted = 0;
-      uint64_t EventsDelivered = 0;
-    };
-    Best Bests[NumConfigs];
-    for (unsigned Round = 0; Round == 0 || Round < Repeats; ++Round) {
-      for (size_t CI = 0; CI != NumConfigs; ++CI) {
-        const Config &C = Configs[CI];
-        std::unique_ptr<Tool> ToolPtr =
-            C.Native ? nullptr : makeEvaluatedTool("nulgrind");
-        EventDispatcher Dispatcher;
-        if (ToolPtr)
-          Dispatcher.addTool(ToolPtr.get());
-        MachineOptions MachineOpts;
-        MachineOpts.Dispatch = C.Dispatch;
-        MachineOpts.BlockCompile = C.BlockCompile;
-        Machine M(*Prog, ToolPtr ? &Dispatcher : nullptr, MachineOpts);
-        auto Start = std::chrono::steady_clock::now();
-        RunResult R = M.run();
-        auto End = std::chrono::steady_clock::now();
-        if (!R.Ok) {
-          std::fprintf(stderr, "hotpath report: %s/%s interp run failed: %s\n",
-                       G.Name, C.Name, R.Error.c_str());
-          return false;
-        }
-        double Seconds = std::chrono::duration<double>(End - Start).count();
-        if (Seconds < Bests[CI].Seconds) {
-          Bests[CI].Seconds = Seconds;
-          Bests[CI].Stats = R.Stats;
-          Bests[CI].EventsEmitted = ToolPtr ? Dispatcher.enqueuedEvents() : 0;
-          Bests[CI].EventsDelivered =
-              ToolPtr ? Dispatcher.deliveredEvents() : 0;
-        }
-      }
-    }
-
-    const double SwitchSeconds = Bests[1].Seconds;
-    std::fprintf(F,
-                 "%s\n"
-                 "      {\n"
-                 "        \"workload\": \"%s\",\n"
-                 "        \"size\": %llu,\n"
-                 "        \"rows\": [",
-                 FirstGuest ? "" : ",", G.Name,
-                 static_cast<unsigned long long>(G.Size));
-    FirstGuest = false;
-    for (size_t CI = 0; CI != NumConfigs; ++CI) {
-      const Config &C = Configs[CI];
-      const Best &B = Bests[CI];
-      double Coverage =
-          B.Stats.Instructions
-              ? static_cast<double>(B.Stats.CompiledBlockInstrs) /
-                    static_cast<double>(B.Stats.Instructions)
-              : 0.0;
-      std::fprintf(
-          F,
-          "%s\n"
-          "          {\n"
-          "            \"config\": \"%s\",\n"
-          "            \"seconds\": %.6f,\n"
-          "            \"instructions_per_sec\": %.0f,\n"
-          "            \"emitted_events_per_sec\": %.0f,\n"
-          "            \"delivered_events_per_sec\": %.0f,\n"
-          "            \"compiled_block_runs\": %llu,\n"
-          "            \"block_instr_coverage\": %.3f,\n"
-          "            \"speedup_vs_switch\": %.3f\n"
-          "          }",
-          CI == 0 ? "" : ",", C.Name, B.Seconds,
-          B.Seconds > 0
-              ? static_cast<double>(B.Stats.Instructions) / B.Seconds
-              : 0.0,
-          B.Seconds > 0 ? static_cast<double>(B.EventsEmitted) / B.Seconds
-                        : 0.0,
-          B.Seconds > 0 ? static_cast<double>(B.EventsDelivered) / B.Seconds
-                        : 0.0,
-          static_cast<unsigned long long>(B.Stats.CompiledBlockRuns), Coverage,
-          B.Seconds > 0 && SwitchSeconds > 0 && !C.Native
-              ? SwitchSeconds / B.Seconds
-              : 0.0);
-    }
-    std::fprintf(F, "\n        ]\n      }");
-    if (Bests[NumConfigs - 1].Seconds > 0 && SwitchSeconds > 0) {
-      GeomeanLogSum += std::log(SwitchSeconds / Bests[NumConfigs - 1].Seconds);
-      ++GeomeanCount;
-    }
-  }
-  std::fprintf(F,
-               "\n    ],\n"
-               "    \"geomean_threaded_block_vs_switch\": %.3f\n"
-               "  },\n",
-               GeomeanCount ? std::exp(GeomeanLogSum /
-                                       static_cast<double>(GeomeanCount))
-                            : 0.0);
-  return true;
 }
 
 bool isp::writeQuietIndirectSection(FILE *F, unsigned Repeats) {
@@ -659,10 +490,7 @@ bool isp::writeQuietIndirectSection(FILE *F, unsigned Repeats) {
 
   // Per-workload mark census: optimize virgin bytecode once per
   // workload (compileWorkload would pre-optimize and hide the counts)
-  // and record how many indirect marks the window pass plus the
-  // range/covered-read certificate recover. CI asserts md and dedup
-  // stay nonzero — they have no window-provable indirect site, so a
-  // zero there means the interprocedural analysis regressed.
+  // and record how many indirect marks the window pass recovers.
   std::fprintf(F, "  ,\n  \"quiet_indirect_marks\": {\n");
   const char *Names[] = {"sort_compare", "md", "dedup"};
   for (unsigned I = 0; I != 3; ++I) {
@@ -683,8 +511,8 @@ bool isp::writeQuietIndirectSection(FILE *F, unsigned Repeats) {
     }
     OptimizerStats S = optimizeProgram(*Raw);
     std::fprintf(F,
-                 "    \"%s\": {\"indirect\": %u, \"range\": %u}%s\n",
-                 Names[I], S.QuietIndirectMarked, S.RangeQuietMarked,
+                 "    \"%s\": {\"indirect\": %u}%s\n",
+                 Names[I], S.QuietIndirectMarked,
                  I + 1 != 3 ? "," : "");
   }
   std::fprintf(F, "  }\n");

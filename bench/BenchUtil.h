@@ -104,16 +104,6 @@ void printBanner(const std::string &Title);
 /// written, or "" on failure.
 std::string writeHotpathReport(unsigned Repeats = 5);
 
-/// Writes the "interp_dispatch" object of BENCH_hotpath.json into \p F:
-/// wall-clock interpreter rows for the full aprof-trms pipeline under
-/// switch dispatch, threaded dispatch, and the block compiler (both
-/// dispatch modes), each with seconds, slowdown vs native, emitted
-/// events/sec, and speedup vs the switch baseline — the numbers the
-/// hot-path-v2 acceptance gate (threaded+block >= 1.3x switch) and the
-/// bench-smoke CI assert (threaded >= switch) read. Returns false
-/// (after a diagnostic) on failure.
-bool writeInterpDispatchSection(FILE *F, unsigned Repeats);
-
 /// Writes the "quiet_indirect" object of BENCH_hotpath.json into \p F:
 /// static quiet-mark counts from the alias-driven optimizer pass,
 /// runtime suppression tallies, and the marked-vs-stripped event-count

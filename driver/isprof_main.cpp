@@ -118,12 +118,6 @@ int usage() {
       "                  ; noescape comments from the static analysis\n"
       "  --slice=N       scheduler quantum in instructions (default 150)\n"
       "  --seed=N        guest rand()/device seed (default 42)\n"
-      "  --dispatch=MODE interpreter dispatch: auto (default), switch,\n"
-      "                  or threaded (computed gotos; GCC/Clang builds).\n"
-      "                  Profiles are identical across modes\n"
-      "  --block-compile (run, workload) execute straight-line blocks\n"
-      "                  from pre-compacted event templates; profiles\n"
-      "                  are identical with or without\n"
       "  --threads=N --size=N   (workload) parameters\n"
       "  --stats=json|csv|off   dump pipeline self-metrics (default off)\n"
       "  --stats-out=PATH       write --stats output to PATH, not stdout\n"
@@ -233,33 +227,6 @@ bool parseReplayWorkers(const OptionParser &Options,
   }
   Out->Workers = static_cast<unsigned>(N);
   Out->Explicit = true;
-  return true;
-}
-
-/// Decodes --dispatch and --block-compile into \p Opts. Returns false
-/// (after printing a diagnostic) on an unknown mode. A threaded request
-/// on a build without computed-goto support degrades to the switch loop
-/// with a warning — the two loops are semantically identical.
-bool parseMachineTuning(const OptionParser &Options, MachineOptions *Opts) {
-  std::string V = Options.getString("dispatch");
-  if (V == "auto") {
-    Opts->Dispatch = DispatchMode::Auto;
-  } else if (V == "switch") {
-    Opts->Dispatch = DispatchMode::Switch;
-  } else if (V == "threaded") {
-    if (!ThreadedDispatchAvailable)
-      std::fprintf(stderr,
-                   "isprof: warning: threaded dispatch is not available in "
-                   "this build; using the switch interpreter\n");
-    Opts->Dispatch = DispatchMode::Threaded;
-  } else {
-    std::fprintf(stderr,
-                 "isprof: invalid --dispatch value '%s' (expected auto, "
-                 "switch, or threaded)\n",
-                 V.c_str());
-    return false;
-  }
-  Opts->BlockCompile = Options.getFlag("block-compile");
   return true;
 }
 
@@ -489,8 +456,6 @@ int commandRun(OptionParser &Options) {
   MachineOptions MachineOpts;
   MachineOpts.SliceLength = static_cast<uint64_t>(Options.getInt("slice"));
   MachineOpts.Seed = static_cast<uint64_t>(Options.getInt("seed"));
-  if (!parseMachineTuning(Options, &MachineOpts))
-    return 2;
 
   int ParallelWorkers = -1;
   if (!parseParallelTools(Options, &ParallelWorkers))
@@ -831,8 +796,6 @@ int commandWorkload(OptionParser &Options) {
   MachineOptions MachineOpts;
   MachineOpts.SliceLength = static_cast<uint64_t>(Options.getInt("slice"));
   MachineOpts.Seed = static_cast<uint64_t>(Options.getInt("seed"));
-  if (!parseMachineTuning(Options, &MachineOpts))
-    return 2;
   Machine M(*Prog, &Dispatcher, MachineOpts);
   RunResult Result = M.run();
   if (!Result.Ok) {
@@ -1174,14 +1137,6 @@ int main(int Argc, char **Argv) {
                     "its static growth classes against the rollup");
   Options.addOption("slice", "150", "scheduler quantum (instructions)");
   Options.addOption("seed", "42", "guest rand()/device seed");
-  Options.addOption("dispatch", "auto",
-                    "interpreter dispatch: auto, switch, or threaded "
-                    "(computed gotos; needs a GCC/Clang build). Profiles "
-                    "are identical across modes");
-  Options.addFlag("block-compile",
-                  "(run, workload) execute straight-line basic blocks "
-                  "from pre-compacted event templates. Profiles are "
-                  "identical with or without");
   Options.addOption("threads", "4", "workload thread count");
   Options.addOption("size", "64", "workload problem scale");
   Options.addOption("stats", "off",

@@ -17,9 +17,8 @@
 /// A never-escaping array is private to its activation by construction:
 /// no callee, sibling thread, or kernel transfer can ever hold its
 /// address, so no access to its cells can originate outside loads and
-/// stores through the tracked slot. The optimizer's range-based quiet
-/// pass (Optimizer.cpp, via Range.h's covered-read certificate) and the
-/// `; noescape` disasm annotation build on this fact.
+/// stores through the tracked slot. The `; noescape` disasm annotation
+/// reports this fact.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -150,20 +150,19 @@ Interval isp::analysis::intervalMod(const Interval &A, const Interval &B) {
 }
 
 //===----------------------------------------------------------------------===//
-// Block-local symbolic values (base provenance + branch conditions)
+// Block-local symbolic values (branch conditions)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// A shallow symbolic value for one operand-stack slot: enough to name
-/// indirect-access bases (LoadLocal / LoadGlobal), recognize counting
-/// increments (local + constant), and carry comparison operands to the
-/// branch that consumes them.
+/// A shallow symbolic value for one operand-stack slot: enough to carry
+/// comparison operands (locals and constants) to the branch that
+/// consumes them.
 struct SymVal {
-  enum class K : uint8_t { Unknown, Const, Local, GlobalCell, AddConst, Cmp };
+  enum class K : uint8_t { Unknown, Const, Local, Cmp };
   K Kind = K::Unknown;
-  int64_t C = 0;     ///< Const value / GlobalCell cell / AddConst addend
-  uint32_t Slot = 0; ///< Local / AddConst slot
+  int64_t C = 0;     ///< Const value
+  uint32_t Slot = 0; ///< Local slot
   // Cmp payload: both operands restricted to Local-or-Const.
   Op CmpOp = Op::Nop;
   bool LhsIsLocal = false;
@@ -176,7 +175,6 @@ struct SymVal {
   bool readsSlot(uint32_t S) const {
     switch (Kind) {
     case K::Local:
-    case K::AddConst:
       return Slot == S;
     case K::Cmp:
       return (LhsIsLocal && LhsSlot == S) || (RhsIsLocal && RhsSlot == S);
@@ -217,10 +215,6 @@ public:
       Out.Kind = SymVal::K::Local;
       Out.Slot = static_cast<uint32_t>(I.A);
       break;
-    case Op::LoadGlobal:
-      Out.Kind = SymVal::K::GlobalCell;
-      Out.C = I.A;
-      break;
     case Op::Add:
     case Op::Sub:
       if (Popped.size() == 2)
@@ -251,11 +245,6 @@ public:
 private:
   static SymVal foldAdd(const SymVal &L, const SymVal &R, bool Sub) {
     SymVal Out;
-    auto Make = [&Out](uint32_t Slot, int64_t C) {
-      Out.Kind = C == 0 ? SymVal::K::Local : SymVal::K::AddConst;
-      Out.Slot = Slot;
-      Out.C = C;
-    };
     if (L.Kind == SymVal::K::Const && R.Kind == SymVal::K::Const) {
       int64_t V = 0;
       bool Ov = Sub ? __builtin_sub_overflow(L.C, R.C, &V)
@@ -266,15 +255,12 @@ private:
       }
       return Out;
     }
-    if (L.Kind == SymVal::K::Local && R.Kind == SymVal::K::Const) {
-      int64_t C = R.C;
-      if (Sub && __builtin_sub_overflow(int64_t(0), R.C, &C))
-        return Out;
-      Make(L.Slot, C);
-      return Out;
-    }
-    if (!Sub && L.Kind == SymVal::K::Const && R.Kind == SymVal::K::Local)
-      Make(R.Slot, L.C);
+    // x + 0, x - 0 and 0 + x still name the local x.
+    if (L.Kind == SymVal::K::Local && R.Kind == SymVal::K::Const && R.C == 0)
+      return L;
+    if (!Sub && L.Kind == SymVal::K::Const && L.C == 0 &&
+        R.Kind == SymVal::K::Local)
+      return R;
     return Out;
   }
 
@@ -564,7 +550,7 @@ private:
       Interval Index = popI(S);
       popI(S); // base
       if (Record != nullptr)
-        recordIndirect(Pc, Index, /*IsStore=*/false, Syms.peek(1));
+        recordIndirect(Pc, Index, /*IsStore=*/false);
       S.Stack.push_back(Interval::top());
       break;
     }
@@ -573,7 +559,7 @@ private:
       Interval Index = popI(S);
       popI(S); // base
       if (Record != nullptr)
-        recordIndirect(Pc, Index, /*IsStore=*/true, Syms.peek(2));
+        recordIndirect(Pc, Index, /*IsStore=*/true);
       break;
     }
     case Op::AllocaArray: {
@@ -658,16 +644,6 @@ private:
       std::vector<Interval> Args(NumArgs, Interval::top());
       for (unsigned A = 0; A != NumArgs; ++A)
         Args[NumArgs - 1 - A] = popI(S); // Args[i] = i-th argument
-      if (Record != nullptr &&
-          (Bi == Builtin::SysRead || Bi == Builtin::SysWrite) &&
-          NumArgs == 3) {
-        KernelWriteSite KW;
-        SymVal Buf = Syms.peek(1); // n on top, then buf, then fd
-        if (Buf.Kind == SymVal::K::GlobalCell)
-          KW.BufGlobalCell = Buf.C;
-        KW.Count = Args[2];
-        Record->KernelWrites[{FnIndex, Pc}] = KW;
-      }
       S.Stack.push_back(builtinResult(Bi, Args));
       break;
     }
@@ -719,15 +695,10 @@ private:
     return Interval::top();
   }
 
-  void recordIndirect(size_t Pc, const Interval &Index, bool IsStore,
-                      const SymVal &BaseSym) const {
+  void recordIndirect(size_t Pc, const Interval &Index, bool IsStore) const {
     IndirectSiteRange Site;
     Site.Index = Index;
     Site.IsStore = IsStore;
-    if (BaseSym.Kind == SymVal::K::Local)
-      Site.BaseLocalSlot = BaseSym.Slot;
-    else if (BaseSym.Kind == SymVal::K::GlobalCell)
-      Site.BaseGlobalCell = BaseSym.C;
     Record->Sites[{FnIndex, Pc}] = Site;
   }
 
@@ -934,328 +905,6 @@ RangeResult isp::analysis::computeRanges(const Program &Prog) {
 }
 
 //===----------------------------------------------------------------------===//
-// Covered-read certificate
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Dom[B][I] = block I dominates block B. Unreachable blocks keep the
-/// all-true initialization (vacuous: they never execute).
-std::vector<std::vector<bool>> computeDominators(const CFG &G) {
-  const uint32_t N = G.numBlocks();
-  std::vector<std::vector<bool>> Dom(N, std::vector<bool>(N, true));
-  if (N == 0)
-    return Dom;
-  Dom[G.entry()].assign(N, false);
-  Dom[G.entry()][G.entry()] = true;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (uint32_t B : G.rpo()) {
-      if (B == G.entry() || !G.reachable(B))
-        continue;
-      std::vector<bool> New(N, true);
-      bool AnyPred = false;
-      for (uint32_t P : G.block(B).Preds) {
-        if (!G.reachable(P))
-          continue;
-        AnyPred = true;
-        for (uint32_t I = 0; I != N; ++I)
-          New[I] = New[I] && Dom[P][I];
-      }
-      if (!AnyPred)
-        New.assign(N, false);
-      New[B] = true;
-      if (New != Dom[B]) {
-        Dom[B] = std::move(New);
-        Changed = true;
-      }
-    }
-  }
-  return Dom;
-}
-
-/// Finds the exit blocks of certified counting fill loops over frame
-/// array \p A: loops of the shape
-///
-///   iv = 0; while (iv < Cells) { a[iv] = ...; iv = iv + 1; }
-///
-/// where the head's branch condition is exactly Lt(iv, Cells), the body
-/// is a single block that stores through the array base at index iv and
-/// increments iv once, and every other edge into the head delivers
-/// iv = 0. At such a loop's exit every cell of [0, Cells) has been
-/// written, so any dominated in-bounds re-read is redundant.
-std::vector<uint32_t> certifiedFillExits(const Function &F, const CFG &G,
-                                         const std::vector<int> &Depths,
-                                         const std::vector<std::vector<bool>> &Dom,
-                                         const FrameArray &A) {
-  std::vector<uint32_t> Exits;
-  for (uint32_t H = 0; H != G.numBlocks(); ++H) {
-    if (!G.reachable(H))
-      continue;
-    const BasicBlock &HB = G.block(H);
-    if (HB.End == HB.Begin ||
-        F.Code[HB.End - 1].Opcode != Op::JumpIfFalse ||
-        HB.Succs.size() != 2)
-      continue;
-    uint32_t E = HB.Succs[0]; // jump target: loop exit (condition false)
-    uint32_t B = HB.Succs[1]; // fallthrough: loop body
-    if (E == B || E == H || B == H)
-      continue;
-
-    // The head must compute exactly iv < Cells, with no store to iv on
-    // the way (SymSim invalidates comparison operands on StoreLocal, so
-    // an intervening store breaks the Cmp shape).
-    SymSim HeadSyms(static_cast<size_t>(Depths[H]));
-    SymVal Branch;
-    for (size_t Pc = HB.Begin; Pc != HB.End; ++Pc) {
-      if (Pc == HB.End - 1)
-        Branch = HeadSyms.peek(0);
-      HeadSyms.step(F.Code[Pc]);
-    }
-    if (Branch.Kind != SymVal::K::Cmp || Branch.CmpOp != Op::Lt ||
-        !Branch.LhsIsLocal || Branch.RhsIsLocal ||
-        Branch.RhsC != static_cast<int64_t>(A.Cells))
-      continue;
-    uint32_t Iv = Branch.LhsSlot;
-    if (Iv == A.Slot)
-      continue;
-    bool HeadStoresIv = false;
-    for (size_t Pc = HB.Begin; Pc != HB.End; ++Pc)
-      if (F.Code[Pc].Opcode == Op::StoreLocal &&
-          static_cast<uint32_t>(F.Code[Pc].A) == Iv)
-        HeadStoresIv = true;
-    if (HeadStoresIv)
-      continue;
-
-    // The body must be a single self-contained block: H -> B -> H.
-    const BasicBlock &BB = G.block(B);
-    if (BB.Preds.size() != 1 || BB.Preds[0] != H || BB.Succs.size() != 1 ||
-        BB.Succs[0] != H)
-      continue;
-
-    // Scan the body: exactly one increment of iv (iv = iv + 1), exactly
-    // one store through the array base and its index must be iv, and
-    // the store must precede the increment (so iteration k writes cell
-    // k, not k+1).
-    SymSim BodySyms(static_cast<size_t>(Depths[B]));
-    size_t IncPos = SIZE_MAX;
-    size_t StorePos = SIZE_MAX;
-    size_t IvStores = 0;
-    size_t BaseStores = 0;
-    bool Bad = false;
-    for (size_t Pc = BB.Begin; Pc != BB.End && !Bad; ++Pc) {
-      const Instr &I = F.Code[Pc];
-      if (I.Opcode == Op::StoreLocal && static_cast<uint32_t>(I.A) == Iv) {
-        ++IvStores;
-        IncPos = Pc;
-        SymVal V = BodySyms.peek(0);
-        if (!(V.Kind == SymVal::K::AddConst && V.Slot == Iv && V.C == 1))
-          Bad = true;
-      }
-      if (I.Opcode == Op::StoreIndirect) {
-        SymVal Base = BodySyms.peek(2);
-        SymVal Index = BodySyms.peek(1);
-        if (Base.Kind == SymVal::K::Local && Base.Slot == A.Slot) {
-          ++BaseStores;
-          StorePos = Pc;
-          if (!(Index.Kind == SymVal::K::Local && Index.Slot == Iv))
-            Bad = true;
-        }
-      }
-      BodySyms.step(I);
-    }
-    if (Bad || IvStores != 1 || BaseStores != 1 || StorePos > IncPos)
-      continue;
-
-    // The exit must not be reachable around the loop test.
-    if (G.block(E).Preds.size() != 1 || G.block(E).Preds[0] != H)
-      continue;
-
-    // Every non-body edge into the head must deliver iv = 0: the
-    // predecessor's last store to iv stores literal 0.
-    bool EntryOk = true;
-    bool AnyEntry = false;
-    for (uint32_t P : HB.Preds) {
-      if (P == B)
-        continue;
-      if (!G.reachable(P))
-        continue;
-      AnyEntry = true;
-      const BasicBlock &PB = G.block(P);
-      SymSim PredSyms(static_cast<size_t>(Depths[P]));
-      bool SawZeroStore = false;
-      bool LastIsZero = false;
-      for (size_t Pc = PB.Begin; Pc != PB.End; ++Pc) {
-        const Instr &I = F.Code[Pc];
-        if (I.Opcode == Op::StoreLocal &&
-            static_cast<uint32_t>(I.A) == Iv) {
-          SymVal V = PredSyms.peek(0);
-          SawZeroStore = true;
-          LastIsZero = V.Kind == SymVal::K::Const && V.C == 0;
-        }
-        PredSyms.step(I);
-      }
-      if (!SawZeroStore || !LastIsZero) {
-        EntryOk = false;
-        break;
-      }
-    }
-    if (!EntryOk || !AnyEntry)
-      continue;
-
-    // The array must already exist when the loop runs.
-    uint32_t DefBlock = G.blockOf(A.AllocaPc + 1);
-    if (!Dom[H][DefBlock])
-      continue;
-
-    Exits.push_back(E);
-  }
-  return Exits;
-}
-
-/// Program-wide containment: no guest or kernel store anywhere in the
-/// live (called) program can land outside tracked object storage — the
-/// precondition for *any* covered-read certificate. Loads matter too:
-/// a wild read of a candidate cell would update its read timestamp,
-/// making the suppressed event observable.
-bool allAccessesContained(const Program &Prog, const PointsToResult &PT,
-                          const RangeResult &RR) {
-  constexpr int64_t MaxGlobalIndex = int64_t(1) << 22;
-  for (size_t Fn = 0; Fn != Prog.Functions.size(); ++Fn) {
-    if (Fn >= RR.Functions.size() || !RR.Functions[Fn].Called)
-      continue; // never executes
-    const Function &F = Prog.Functions[Fn];
-    for (size_t Pc = 0; Pc != F.Code.size(); ++Pc) {
-      const Instr &I = F.Code[Pc];
-      switch (I.Opcode) {
-      case Op::CallBuiltin: {
-        Builtin Bi = static_cast<Builtin>(I.A);
-        if (Bi == Builtin::Load || Bi == Builtin::Store)
-          return false; // arbitrary-address access
-        if (Bi != Builtin::SysRead && Bi != Builtin::SysWrite)
-          break;
-        // The kernel side reads or writes buf[0 .. n-1]: buf must be
-        // the immutable base cell of a global array and n bounded by
-        // its extent.
-        auto KW = RR.KernelWrites.find({Fn, Pc});
-        if (KW == RR.KernelWrites.end() ||
-            KW->second.BufGlobalCell < 0)
-          return false;
-        const GlobalArrayInfo *GA = nullptr;
-        for (const GlobalArrayInfo &Cand : Prog.GlobalArrays)
-          if (static_cast<int64_t>(Cand.Cell) == KW->second.BufGlobalCell)
-            GA = &Cand;
-        if (GA == nullptr)
-          return false;
-        const Interval &N = KW->second.Count;
-        if (N.Hi == PosInf || N.Hi < 0 ||
-            static_cast<uint64_t>(N.Hi) > GA->Cells)
-          return false;
-        // The base cell must keep its loader-installed value.
-        for (size_t G2 = 0; G2 != Prog.Functions.size(); ++G2) {
-          if (G2 >= RR.Functions.size() || !RR.Functions[G2].Called)
-            continue;
-          for (const Instr &I2 : Prog.Functions[G2].Code)
-            if (I2.Opcode == Op::StoreGlobal &&
-                I2.A == KW->second.BufGlobalCell)
-              return false;
-        }
-        break;
-      }
-      case Op::LoadIndirect:
-      case Op::StoreIndirect: {
-        const IndirectSiteRange *Site = RR.site(Fn, Pc);
-        const SiteFacts *Facts = PT.siteFacts(Fn, Pc);
-        if (Site == nullptr || Facts == nullptr || !Facts->BaseKnown ||
-            Facts->Objects.empty())
-          return false;
-        bool AllGlobal = true;
-        bool AllKnown = true;
-        uint64_t MinCells = UINT64_MAX;
-        for (uint32_t Obj : Facts->Objects) {
-          const AbstractObject &O = PT.Objects[Obj];
-          AllGlobal &= O.K == AbstractObject::Kind::GlobalArray;
-          if (O.Cells == 0)
-            AllKnown = false;
-          else
-            MinCells = std::min(MinCells, O.Cells);
-        }
-        const Interval &Index = Site->Index;
-        // Global-array bases with a bounded non-huge index cannot reach
-        // the stack region (it starts far above the globals, and
-        // negative indices wrap past the top of the address space), so
-        // exact in-bounds is not required for them.
-        bool GlobalContained =
-            AllGlobal && Index.Hi != PosInf && Index.Hi <= MaxGlobalIndex;
-        bool ExactContained = AllKnown && Index.within(MinCells);
-        if (!GlobalContained && !ExactContained)
-          return false;
-        break;
-      }
-      default:
-        break;
-      }
-    }
-  }
-  return true;
-}
-
-} // namespace
-
-std::vector<std::pair<size_t, size_t>>
-isp::analysis::coveredIndirectReads(const Program &Prog,
-                                    const PointsToResult &PT,
-                                    const EscapeResult &Esc,
-                                    const RangeResult &RR) {
-  std::vector<std::pair<size_t, size_t>> Covered;
-  if (Esc.NeverEscaping.empty() || PT.HasWildStore)
-    return Covered;
-  if (!allAccessesContained(Prog, PT, RR))
-    return Covered;
-
-  for (const FrameArray &A : Esc.NeverEscaping) {
-    if (A.Fn >= RR.Functions.size() || !RR.Functions[A.Fn].Called)
-      continue;
-    const Function &F = Prog.Functions[A.Fn];
-    std::vector<VerifyError> Scratch;
-    if (!verifyFunctionStructure(Prog, A.Fn, Scratch))
-      continue;
-    CFG G(F);
-    std::optional<std::vector<int>> Depths =
-        computeBlockEntryDepths(G, A.Fn, nullptr);
-    if (!Depths)
-      continue;
-    // One activation = one array instance; a re-executed alloca would
-    // make "the" array ambiguous within an activation.
-    if (G.inCycle(G.blockOf(A.AllocaPc)))
-      continue;
-    std::vector<std::vector<bool>> Dom = computeDominators(G);
-    std::vector<uint32_t> Exits = certifiedFillExits(F, G, *Depths, Dom, A);
-    if (Exits.empty())
-      continue;
-
-    for (const auto &Entry : RR.Sites) {
-      if (Entry.first.first != A.Fn || Entry.second.IsStore)
-        continue;
-      if (Entry.second.BaseLocalSlot != static_cast<int64_t>(A.Slot))
-        continue;
-      if (!Entry.second.Index.within(A.Cells))
-        continue;
-      uint32_t ReadBlock = G.blockOf(Entry.first.second);
-      if (!G.reachable(ReadBlock))
-        continue;
-      bool Dominated = false;
-      for (uint32_t E : Exits)
-        Dominated |= Dom[ReadBlock][E];
-      if (Dominated)
-        Covered.push_back(Entry.first);
-    }
-  }
-  return Covered;
-}
-
-//===----------------------------------------------------------------------===//
 // Bounds lint
 //===----------------------------------------------------------------------===//
 
@@ -1379,6 +1028,42 @@ BoundsReport isp::analysis::runBoundsLint(const Program &Prog) {
 namespace {
 
 constexpr unsigned MaxDegree = 3;
+
+/// Dom[B][I] = block I dominates block B. Unreachable blocks keep the
+/// all-true initialization (vacuous: they never execute).
+std::vector<std::vector<bool>> computeDominators(const CFG &G) {
+  const uint32_t N = G.numBlocks();
+  std::vector<std::vector<bool>> Dom(N, std::vector<bool>(N, true));
+  if (N == 0)
+    return Dom;
+  Dom[G.entry()].assign(N, false);
+  Dom[G.entry()][G.entry()] = true;
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (uint32_t B : G.rpo()) {
+      if (B == G.entry() || !G.reachable(B))
+        continue;
+      std::vector<bool> New(N, true);
+      bool AnyPred = false;
+      for (uint32_t P : G.block(B).Preds) {
+        if (!G.reachable(P))
+          continue;
+        AnyPred = true;
+        for (uint32_t I = 0; I != N; ++I)
+          New[I] = New[I] && Dom[P][I];
+      }
+      if (!AnyPred)
+        New.assign(N, false);
+      New[B] = true;
+      if (New != Dom[B]) {
+        Dom[B] = std::move(New);
+        Changed = true;
+      }
+    }
+  }
+  return Dom;
+}
 
 } // namespace
 

@@ -6,15 +6,12 @@
 ///
 /// \file
 /// Interprocedural integer interval analysis over compiled guest
-/// programs, plus the three clients built on it:
+/// programs, plus the clients built on it:
 ///
 ///  - per-site index/size intervals for every LoadIndirect /
-///    StoreIndirect / AllocaArray (consumed by the optimizer's
-///    range-based quiet pass, the bounds lint, and the verifier's
-///    constant-foldable index rejection),
-///  - the covered-read certificate: LoadIndirect sites provably
-///    re-reading cells a dominating counting loop already wrote into a
-///    never-escaping frame array (Escape.h) — safe to quiet-mark,
+///    StoreIndirect / AllocaArray (consumed by the bounds lint, the
+///    verifier's constant-foldable index rejection, and
+///    `disasm --annotate-ranges`),
 ///  - a static growth estimator: per-routine loop-nesting degree
 ///    propagated over the call graph, cross-checked by report/collect
 ///    against the measured log-log alpha.
@@ -37,7 +34,6 @@
 #ifndef ISPROF_ANALYSIS_RANGE_H
 #define ISPROF_ANALYSIS_RANGE_H
 
-#include "analysis/Escape.h"
 #include "analysis/PointsTo.h"
 #include "vm/Bytecode.h"
 
@@ -94,24 +90,11 @@ Interval intervalNeg(const Interval &A);
 struct IndirectSiteRange {
   Interval Index;
   bool IsStore = false;
-  /// Syntactic base provenance within the block, when the base operand
-  /// is directly a LoadLocal (slot) or LoadGlobal (cell); -1 otherwise.
-  /// Points-to (PointsTo.h) supplies the object-level provenance.
-  int64_t BaseLocalSlot = -1;
-  int64_t BaseGlobalCell = -1;
 };
 
 /// Facts at one AllocaArray site.
 struct AllocaSiteRange {
   Interval Size;
-};
-
-/// Facts at one sysread(fd, buf, n) site — the only builtin whose
-/// kernel side *writes* guest memory; the covered-read certificate must
-/// bound where those writes can land.
-struct KernelWriteSite {
-  int64_t BufGlobalCell = -1; ///< buf operand when a direct LoadGlobal
-  Interval Count;
 };
 
 /// Stabilized per-function parameter/return intervals.
@@ -127,7 +110,6 @@ struct RangeResult {
   /// Keyed by (function index, instruction index).
   std::map<std::pair<size_t, size_t>, IndirectSiteRange> Sites;
   std::map<std::pair<size_t, size_t>, AllocaSiteRange> Allocas;
-  std::map<std::pair<size_t, size_t>, KernelWriteSite> KernelWrites;
   std::vector<FunctionRanges> Functions;
   /// Non-trivial intervals recorded — exported as analysis.range_facts.
   uint64_t Facts = 0;
@@ -147,19 +129,6 @@ struct RangeResult {
 /// unknown). Folds analysis.range_facts and the analysis.range_ns pass
 /// timer into the obs registry when stats are enabled.
 RangeResult computeRanges(const Program &Prog);
-
-/// The covered-read certificate: returns the (fn, pc) LoadIndirect
-/// sites whose event is provably redundant on *every* execution — the
-/// accessed cell belongs to a never-escaping frame array, a dominating
-/// counting loop wrote all of [0, Cells) before the read, the read's
-/// index stays within [0, Cells), and no store anywhere in the program
-/// (guest or kernel) can touch the array's storage or the owning
-/// frame's slots from outside. Such reads are safe to quiet-mark: the
-/// suppressed event cannot change any tool's observable state (see
-/// DESIGN.md, "Value ranges & escape").
-std::vector<std::pair<size_t, size_t>>
-coveredIndirectReads(const Program &Prog, const PointsToResult &PT,
-                     const EscapeResult &Esc, const RangeResult &RR);
 
 /// One bounds-lint warning.
 struct BoundsWarning {

@@ -294,149 +294,6 @@ public:
     flushImpl(FlushCause::Explicit);
   }
 
-  //===--- Block-compiler seam (vm/BlockCompiler.h) ----------------------===//
-
-  /// A pre-compacted run template: the exact words the per-instruction
-  /// path would have buffered for one straight-line stretch of a
-  /// covered run, had the batch been empty — static bits pre-encoded,
-  /// thread id / time base / frame base left to the splice
-  /// (trace/Event.h TemplateWord). A run with dynamic (indirect)
-  /// accesses is spliced as several such segments with the dynamic
-  /// events enqueue()d normally in between; only the first segment
-  /// leads with the run's BasicBlock marker (HasBlockHead). Contains no
-  /// escape words — the caller must have checked runTimesCompatible()
-  /// over the whole run.
-  struct TemplateRun {
-    const TemplateWord *Words;
-    uint32_t NumWords;
-    uint32_t NumRecords;      ///< logical events among Words
-    uint32_t InternalMerges;  ///< access merges already applied in-run
-    uint32_t InternalBbFolds; ///< covered BasicBlock markers folded in-run
-    uint64_t EnqueueCount;    ///< events the uncompacted stream held
-    /// Time offset (from the run's entry time) of this segment's *last
-    /// record's main word* — what the encoder's PrevLow must read after
-    /// the splice. Not necessarily the segment's last event time: a
-    /// trailing merge keeps the first constituent's time, and merged
-    /// events never reach the encoder.
-    uint32_t LastMainOff;
-    /// True when Words[0] is the run's leading BasicBlock marker (the
-    /// first segment); mid-run segments lead with an access record.
-    bool HasBlockHead;
-  };
-
-  /// True when a run of \p Words more words still fits the current batch
-  /// with the post-append slack intact. The block fast path must *not*
-  /// flush early to make room: flush timing — and with it the encoder
-  /// reset and escape-word placement — is part of the byte-exact
-  /// contract, so a run that does not fit falls back to the per-event
-  /// path, which rolls the batch at exactly the point it always would.
-  bool runFits(size_t Words) const {
-    return PendingWords + Words + Event::MaxWordsPerRecord <= Capacity;
-  }
-
-  /// True when times [FirstTime, LastTime] extend the batch's time base
-  /// without an epoch change — the one case template words cannot
-  /// express (the per-event path emits a time-base escape instead).
-  bool runTimesCompatible(uint64_t FirstTime, uint64_t LastTime) const {
-    return (FirstTime >> 32) == Enc.epoch() &&
-           (LastTime >> 32) == Enc.epoch();
-  }
-
-  /// Splices a run-template segment into the live batch in one pass:
-  /// words are patched (thread id, absolute times, frame base) directly
-  /// into the pending buffer, and the two compaction rules are
-  /// re-applied at the seam — a leading BasicBlock folds into the
-  /// thread's open block run, and (only then — an unfolded marker
-  /// breaks adjacency by sitting in the buffer — or always for
-  /// mid-run segments, which lead with an access) the segment's first
-  /// access may extend the last buffered event. Byte-identical to
-  /// enqueueing the uncompacted event sequence; \p T0 is the *run's*
-  /// entry event time (TimeOffs are run-relative, so mid-run segments
-  /// pass the same T0 as the first). Caller must have called runFits()
-  /// and runTimesCompatible() over the whole run.
-  void spliceTemplateRun(const TemplateRun &R, ThreadId Tid, uint64_t T0,
-                         uint64_t FrameBase) {
-    EnqueuedEvents += R.EnqueueCount;
-    AccessMerges += R.InternalMerges;
-    BbFolds += R.InternalBbFolds;
-    const TemplateWord *W = R.Words;
-    size_t N = R.NumWords;
-    size_t Records = R.NumRecords;
-    const uint32_t TidBits = static_cast<uint32_t>(Tid) << Event::TidShift;
-    const uint32_t T0Low = static_cast<uint32_t>(T0);
-    // Seam rule: the first remaining word (an access) may extend the
-    // last buffered event, exactly as enqueue() would have merged it.
-    auto SeamMergeFirstAccess = [&] {
-      if (N == 0 || !HaveLastMain || Tid > Event::MaxInlineTid)
-        return;
-      Event &M = Pending[LastMain];
-      EventKind K = W[0].Word.kind();
-      if ((K != EventKind::Read && K != EventKind::Write) || M.kind() != K ||
-          M.inlineTid() != Tid)
-        return;
-      bool Follow = M.hasFollow();
-      // A nonzero follow-on TimeLow means the buffered event's real tid
-      // lives there (spilled >24-bit id): don't merge into it.
-      if (Follow && Pending[LastMain + 1].TimeLow != 0)
-        return;
-      uint64_t Cells = Follow ? Pending[LastMain + 1].Arg : 1;
-      if (M.Arg + Cells != W[0].Word.Arg + (FrameBase & W[0].FrameMask))
-        return;
-      bool RunFollow = W[0].Word.hasFollow();
-      uint64_t RunCells = RunFollow ? W[1].Word.Arg : 1;
-      size_t Skip = RunFollow ? 2 : 1;
-      if (Follow) {
-        Pending[LastMain + 1].Arg = Cells + RunCells;
-      } else {
-        M.Meta |= Event::FollowBit;
-        Event &FW = Pending[PendingWords++];
-        FW.Meta = Event::SpecialBit | Event::FollowBit;
-        FW.TimeLow = 0;
-        FW.Arg = Cells + RunCells;
-      }
-      ++AccessMerges;
-      W += Skip;
-      N -= Skip;
-      --Records;
-    };
-    if (R.HasBlockHead) {
-      if (BbRun.Active && BbRun.Tid == Tid) {
-        // BasicBlock templates keep the fold count in Arg and are never
-        // frame-relative, so the fold needs no patching at all.
-        Pending[BbRun.Index].Arg += W[0].Word.Arg;
-        ++BbFolds;
-        ++W;
-        --N;
-        --Records;
-        SeamMergeFirstAccess();
-      } else {
-        BbRun = {true, Tid, static_cast<uint32_t>(PendingWords)};
-      }
-    } else {
-      SeamMergeFirstAccess();
-    }
-    if (N != 0) {
-      Event *Dst = &Pending[PendingWords];
-      for (size_t I = 0; I != N; ++I) {
-        const TemplateWord &TW = W[I];
-        Dst[I].Meta = TW.Word.Meta | (TidBits & TW.MainMask);
-        Dst[I].TimeLow = TW.Word.TimeLow + ((T0Low + TW.TimeOff) & TW.MainMask);
-        Dst[I].Arg = TW.Word.Arg + (FrameBase & TW.FrameMask);
-      }
-      size_t LastMainAt = Dst[N - 1].isSpecial() ? N - 2 : N - 1;
-      LastMain = static_cast<uint32_t>(PendingWords + LastMainAt);
-      HaveLastMain = true;
-      PendingWords += N;
-      // Encoder bookkeeping tracks the last *encoded* main word; when
-      // the whole run folded/merged away, nothing was encoded and the
-      // per-event path would have left the encoder untouched too.
-      Enc.noteAppended(T0 + R.LastMainOff);
-    }
-    PendingRecords += Records;
-    if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord > Capacity))
-      flushImpl(FlushCause::Capacity);
-  }
-
   /// True when at least one tool is registered or recording is on; the VM
   /// skips event construction entirely otherwise ("native" runs).
   bool isActive() const { return Recording || Sink != nullptr || !Tools.empty(); }

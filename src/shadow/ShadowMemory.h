@@ -42,12 +42,12 @@ namespace isp {
 
 /// Three-level radix shadow memory over guest cell addresses.
 ///
-/// Address bits: [ L1: 8 | L2: 10 | offset: 9 ], covering 2^27 cells —
-/// the guest address space of vm/Bytecode.h. The structure follows the
-/// paper's three-level design; the table and chunk sizes are scaled to
-/// this project's laptop-sized guests (the paper shadows multi-GB
-/// address spaces with 64KB chunks; we shadow multi-MB guests with
-/// 512-cell chunks) so that space overhead remains proportional to
+/// Address bits: [ L1: 8 | L2: 10 | offset: 9 ], covering the
+/// GuestAddressCells guest address space (trace/Event.h). The structure
+/// follows the paper's three-level design; the table and chunk sizes
+/// are scaled to this project's laptop-sized guests (the paper shadows
+/// multi-GB address spaces with 64KB chunks; we shadow multi-MB guests
+/// with 512-cell chunks) so that space overhead remains proportional to
 /// memory actually touched. Unaccessed locations implicitly hold T{}
 /// (all profilers use 0 as the "never" timestamp, so lazy chunks need no
 /// initialization pass beyond zero-fill).
@@ -59,8 +59,10 @@ public:
   static constexpr size_t ChunkCells = size_t(1) << OffsetBits;
   static constexpr size_t L2Entries = size_t(1) << L2Bits;
   static constexpr size_t L1Entries = size_t(1) << L1Bits;
-  static constexpr Addr MaxAddress =
-      (Addr(1) << (OffsetBits + L2Bits + L1Bits)) - 1;
+  static constexpr Addr MaxAddress = GuestAddressCells - 1;
+  static_assert(Addr(1) << (OffsetBits + L2Bits + L1Bits) ==
+                    GuestAddressCells,
+                "the radix levels must cover the guest address space");
 
   ThreeLevelShadow() : Primary(L1Entries) {}
 

@@ -80,34 +80,29 @@ enum class Op : uint8_t {
   Return
 };
 
-/// X-macro over every opcode, in enum order. The threaded interpreter
-/// builds its computed-goto label table from this list (one label per
-/// opcode, indexed by the enum value), so the list and the enum must
-/// stay in lockstep; the static_asserts below turn a reordering of
-/// either into a compile error.
-#define ISP_FOR_EACH_OPCODE(X)                                                 \
-  X(Nop) X(BasicBlock) X(PushConst) X(Pop) X(LoadLocal) X(StoreLocal)          \
-  X(LoadGlobal) X(StoreGlobal) X(LoadIndirect) X(StoreIndirect)                \
-  X(AllocaArray) X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(Lt) X(Le) X(Gt) X(Ge)    \
-  X(Eq) X(Ne) X(Neg) X(Not) X(ToBool) X(Jump) X(JumpIfFalse) X(JumpIfTrue)     \
-  X(Call) X(CallBuiltin) X(Spawn) X(Return)
-
-namespace detail {
-enum : unsigned {
-#define ISP_OP_ORDINAL(NAME) OpListOrdinal_##NAME,
-  ISP_FOR_EACH_OPCODE(ISP_OP_ORDINAL)
-#undef ISP_OP_ORDINAL
-  OpListSize
-};
-#define ISP_OP_ORDER_CHECK(NAME)                                               \
-  static_assert(static_cast<unsigned>(Op::NAME) == OpListOrdinal_##NAME,       \
-                "ISP_FOR_EACH_OPCODE out of sync with enum Op");
-ISP_FOR_EACH_OPCODE(ISP_OP_ORDER_CHECK)
-#undef ISP_OP_ORDER_CHECK
-} // namespace detail
-
-/// Number of Op enumerators.
-inline constexpr unsigned NumOpcodes = detail::OpListSize;
+/// Guest integer arithmetic: 64-bit two's complement that wraps on
+/// overflow, as the host hardware does (signed overflow is undefined
+/// behaviour in C++). The interpreter and the optimizer's constant
+/// folding both use these, so folded and executed results agree.
+inline int64_t guestAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
+inline int64_t guestSub(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) -
+                              static_cast<uint64_t>(B));
+}
+inline int64_t guestMul(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) *
+                              static_cast<uint64_t>(B));
+}
+inline int64_t guestNeg(int64_t A) { return guestSub(0, A); }
+/// Quotient and remainder for a nonzero divisor. INT64_MIN / -1 wraps to
+/// INT64_MIN with remainder 0 instead of trapping.
+inline int64_t guestDiv(int64_t A, int64_t B) {
+  return B == -1 ? guestNeg(A) : A / B;
+}
+inline int64_t guestMod(int64_t A, int64_t B) { return B == -1 ? 0 : A % B; }
 
 /// Builtin routines provided by the VM runtime.
 enum class Builtin : uint8_t {
@@ -217,6 +212,10 @@ inline constexpr Addr HeapBase = Addr(1) << 22;
 /// at StackRegionBase + t * StackRegionStride.
 inline constexpr Addr StackRegionBase = Addr(1) << 24;
 inline constexpr Addr StackRegionStride = Addr(1) << 17;
+/// Most guest threads (main included) whose stack regions fit below
+/// GuestAddressCells; spawning one more is a guest runtime error.
+inline constexpr uint64_t MaxGuestThreads =
+    (GuestAddressCells - StackRegionBase) / StackRegionStride;
 
 } // namespace isp
 

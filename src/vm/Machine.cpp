@@ -22,20 +22,6 @@ Machine::Machine(const Program &Prog, EventDispatcher *Events,
       GuestRng(Opts.Seed) {
   assert(Options.StackCells <= StackRegionStride &&
          "stack size exceeds the per-thread address stride");
-#if ISP_DISPATCH_THREADED
-  // DispatchMode::Auto takes the threaded loop whenever the build has
-  // it; a Threaded request on a switch-only build degrades to the
-  // switch loop (the driver warns — semantics are identical).
-  UseThreaded = Options.Dispatch != DispatchMode::Switch;
-#endif
-  if (Options.BlockCompile) {
-    BlockPlans.reserve(Prog.Functions.size());
-    for (const Function &Fn : Prog.Functions)
-      BlockPlans.push_back(compileFunctionBlocks(Fn, Prog.GlobalCells));
-    for (const FunctionBlockPlans &P : BlockPlans)
-      if (!P.Plans.empty())
-        BlockCompileActive = true;
-  }
 }
 
 void Machine::runtimeError(const std::string &Message) {
@@ -393,275 +379,302 @@ bool Machine::handleBuiltin(ThreadCtx &T, Builtin B, unsigned NumArgs) {
   ISP_UNREACHABLE("unknown builtin");
 }
 
-// The fetch-execute loop lives in MachineInterp.inc, written once
-// against the ISP_CASE/ISP_NEXT/ISP_RELOAD_FRAME macros and included
-// here for each dispatch strategy the build supports.
-#define ISP_INTERP_THREADED 0
-#include "vm/MachineInterp.inc"
-#undef ISP_INTERP_THREADED
-
-#if ISP_DISPATCH_THREADED
-#define ISP_INTERP_THREADED 1
-#include "vm/MachineInterp.inc"
-#undef ISP_INTERP_THREADED
-#endif
-
 bool Machine::runSlice(ThreadCtx &T) {
-#if ISP_DISPATCH_THREADED
-  if (ISP_LIKELY(UseThreaded))
-    return runSliceThreaded(&T);
-#endif
-  return runSliceSwitch(&T);
-}
+  YieldRequested = false;
+  // Hoist the global instruction-budget check out of the per-instruction
+  // loop: cap this slice at the remaining budget and only report the
+  // overrun when the capped slice is exhausted.
+  uint64_t Budget = Options.SliceLength;
+  uint64_t Remaining = Options.MaxInstructions > Stats.Instructions
+                           ? Options.MaxInstructions - Stats.Instructions
+                           : 0;
+  bool Capped = Remaining < Budget;
+  if (Capped)
+    Budget = Remaining;
 
-uint64_t Machine::tryCompiledBlock(ThreadCtx &T, Frame &F, size_t InstrPc,
-                                   uint64_t BudgetLeft) {
-  const BlockPlan *Plan = BlockPlans[functionIndex(F.Fn)].planAt(InstrPc);
-  if (Plan == nullptr)
-    return 0;
+  // Executed instructions land in Stats on every exit path (the budget
+  // math above reads Stats, so it must be current between slices).
+  struct InstrTally {
+    uint64_t &Total;
+    uint64_t Done = 0;
+    ~InstrTally() { Total += Done; }
+  } Tally{Stats.Instructions};
 
-  // --- Gates. Each bail-out means "the per-instruction path must run
-  // this block" — either because it would do something the template
-  // cannot express, or because it would fail with a diagnostic the
-  // fast path does not carry. Gates must not mutate machine state.
-  uint64_t Extra = Plan->instrCount() - 1;
-  if (Extra > BudgetLeft)
-    return 0; // run would straddle a scheduling point
-  if (T.Operands.size() - F.OperandBase < Plan->NeedDepth)
-    return 0; // malformed code; slow path asserts
-  uint64_t FrameOff = F.FrameBase - T.StackBase;
-  uint64_t TopOff = 0;
-  if (Plan->MaxSlot >= 0) {
-    TopOff = FrameOff + static_cast<uint64_t>(Plan->MaxSlot);
-    if (TopOff >= Options.StackCells)
-      return 0; // slow path reports the invalid access
-  }
-  uint64_t T0 = EventTime;
-  if (TraceActive) {
-    if (ISP_UNLIKELY(T.Id > Event::MaxInlineTid))
-      return 0; // template tids are inline-only
-    if (Plan->QuietSkips + Plan->DynQuietSkips != 0 &&
-        ISP_UNLIKELY(WindowInterrupted))
-      return 0; // slow path forces the quiet-marked events through
-    // No early flush to make room: flush timing is part of the
-    // byte-exact contract (the encoder resets per batch). The bound
-    // covers the whole run — static template words plus at most one
-    // buffered word per runtime-enqueued dynamic event — so no
-    // mid-run enqueue can roll the batch either.
-    if (!Events->runFits(Plan->Words.size() + Plan->NumDynEvents))
-      return 0;
-    if (!Events->runTimesCompatible(T0 + 1, T0 + Plan->EnqueueCount))
-      return 0; // epoch boundary: the per-event path emits an escape
-  }
+  // The fetch-execute loop is fused into the slice loop: the frame
+  // pointer and the code base stay cached in registers across
+  // instructions (the opcodes that push or pop frames refresh both),
+  // and only the opcodes that can block, fail, or reschedule test the
+  // machine state. Every error path exits with `return !Failed`, which
+  // also covers the non-error exits (thread finished, builtin blocked).
+  // The pc-in-range invariant is checked when the cache is
+  // (re)established — per-dispatch asserts would put two extra loads on
+  // the hottest path in the program (this project builds with
+  // assertions on everywhere). Keep large, rarely-run code such as the
+  // builtins out of this function: inlining a big cold path into the
+  // loop once cost about 10% of dispatch speed.
+  Frame *F = &T.Frames.back();
+  const Instr *CodeBase = F->Fn->Code.data();
+  assert(F->Pc < F->Fn->Code.size() && "pc out of range");
+  while (Tally.Done != Budget) {
+    const Instr *I = CodeBase + F->Pc;
+    size_t InstrPc = F->Pc;
+    ++F->Pc;
+    ++Tally.Done;
 
-  // --- Committed. The template's static events splice into the batch
-  // segment by segment (the dispatcher patches tid, absolute times,
-  // and frame base directly into the pending buffer in one pass);
-  // dynamic accesses between segments go through the normal
-  // memRead/memWrite enqueue at execution time, so the buffer fills in
-  // exactly the slow path's order.
-  if (Plan->MaxSlot >= 0 && T.StackMemory.size() <= TopOff)
-    T.StackMemory.resize(TopOff + 1, 0); // grow-only, like the lazy path
-  const BlockPlan::Segment *Seg = Plan->Segments.data();
-  auto SpliceSeg = [&](const BlockPlan::Segment &S) {
-    EventDispatcher::TemplateRun Run;
-    Run.Words = Plan->Words.data() + S.WordBegin;
-    Run.NumWords = S.WordEnd - S.WordBegin;
-    Run.NumRecords = S.NumRecords;
-    Run.InternalMerges = S.InternalMerges;
-    Run.InternalBbFolds = S.InternalBbFolds;
-    Run.EnqueueCount = S.Ticks;
-    Run.LastMainOff = S.LastMainOff;
-    Run.HasBlockHead = &S == Plan->Segments.data();
-    Events->spliceTemplateRun(Run, T.Id, T0, F.FrameBase);
-    EventTime += S.Ticks;
-  };
-  if (TraceActive)
-    SpliceSeg(*Seg);
-
-  // The run's operand-stack excursion is static (NeedDepth below entry,
-  // MaxGrowth above), so one resize bounds the whole run and the loop
-  // works a raw cursor — no per-push capacity check or size update.
-  // The resize is committed state, but it only grows scratch space the
-  // shrink below releases; zero-initialized cells are written before
-  // any read (pushes precede pops at every depth).
-  std::vector<int64_t> &Ops = T.Operands;
-  const size_t EntryDepth = Ops.size();
-  Ops.resize(EntryDepth + Plan->MaxGrowth);
-  int64_t *Sp = Ops.data() + EntryDepth;
-  int64_t *Stack =
-      Plan->MaxSlot >= 0 ? T.StackMemory.data() + FrameOff : nullptr;
-  int64_t *GlobalCells = Globals.data();
-  const Instr *Code = F.Fn->Code.data();
-
-  for (size_t Pc = InstrPc + 1, End = Plan->EndPc; Pc != End; ++Pc) {
-    const Instr &I = Code[Pc];
-    switch (I.Opcode) {
+    switch (I->Opcode) {
     case Op::Nop:
       break;
-    case Op::BasicBlock:
-      // Interior marker: its event was folded into the template and
-      // its block tally lands in the bulk NumBlocks update below.
-      break;
-    case Op::PushConst:
-      *Sp++ = I.A;
-      break;
-    case Op::Pop:
-      --Sp;
-      break;
-    case Op::LoadLocal:
-      *Sp++ = Stack[I.A];
-      break;
-    case Op::StoreLocal:
-      Stack[I.A] = *--Sp;
-      break;
-    case Op::LoadGlobal:
-      *Sp++ = GlobalCells[I.A - static_cast<int64_t>(GlobalBase)];
-      break;
-    case Op::StoreGlobal:
-      GlobalCells[I.A - static_cast<int64_t>(GlobalBase)] = *--Sp;
-      break;
-// Same in-place rewrite as the interpreter's binary cases.
-#define ISP_BLOCK_BINARY(OPCODE, EXPR)                                         \
-  case Op::OPCODE: {                                                           \
-    int64_t Rhs = *--Sp;                                                       \
-    int64_t Lhs = Sp[-1];                                                      \
-    (void)Lhs;                                                                 \
-    (void)Rhs;                                                                 \
-    Sp[-1] = (EXPR);                                                           \
-    break;                                                                     \
-  }
-      ISP_BLOCK_BINARY(Add, Lhs + Rhs)
-      ISP_BLOCK_BINARY(Sub, Lhs - Rhs)
-      ISP_BLOCK_BINARY(Mul, Lhs * Rhs)
-      ISP_BLOCK_BINARY(Lt, Lhs < Rhs ? 1 : 0)
-      ISP_BLOCK_BINARY(Le, Lhs <= Rhs ? 1 : 0)
-      ISP_BLOCK_BINARY(Gt, Lhs > Rhs ? 1 : 0)
-      ISP_BLOCK_BINARY(Ge, Lhs >= Rhs ? 1 : 0)
-      ISP_BLOCK_BINARY(Eq, Lhs == Rhs ? 1 : 0)
-      ISP_BLOCK_BINARY(Ne, Lhs != Rhs ? 1 : 0)
-#undef ISP_BLOCK_BINARY
-    case Op::Neg:
-      Sp[-1] = -Sp[-1];
-      break;
-    case Op::Not:
-      Sp[-1] = Sp[-1] == 0 ? 1 : 0;
-      break;
-    case Op::ToBool:
-      Sp[-1] = Sp[-1] != 0 ? 1 : 0;
-      break;
-    case Op::Div: {
-      int64_t Rhs = *--Sp;
-      if (ISP_UNLIKELY(Rhs == 0)) {
-        runtimeError("division by zero");
-        return compiledBlockFail(T, F, InstrPc, Pc, Sp);
-      }
-      Sp[-1] /= Rhs;
-      break;
-    }
-    case Op::Mod: {
-      int64_t Rhs = *--Sp;
-      if (ISP_UNLIKELY(Rhs == 0)) {
-        runtimeError("modulo by zero");
-        return compiledBlockFail(T, F, InstrPc, Pc, Sp);
-      }
-      Sp[-1] %= Rhs;
-      break;
-    }
-    case Op::LoadIndirect: {
-      int64_t Index = *--Sp;
-      int64_t Base = *--Sp;
-      int64_t Value = 0;
-      bool Emit = noteQuietAccess(I.B);
-      if (!Emit)
-        ++Stats.QuietIndirectSuppressed;
-      if (ISP_UNLIKELY(!memRead(T, static_cast<Addr>(Base + Index), Value,
-                                Emit)))
-        return compiledBlockFail(T, F, InstrPc, Pc, Sp);
-      *Sp++ = Value;
-      if (TraceActive && Emit)
-        SpliceSeg(*++Seg);
-      // The access may have grown this thread's stack vector.
-      if (Plan->MaxSlot >= 0)
-        Stack = T.StackMemory.data() + FrameOff;
-      break;
-    }
-    case Op::StoreIndirect: {
-      int64_t Value = *--Sp;
-      int64_t Index = *--Sp;
-      int64_t Base = *--Sp;
-      bool Emit = noteQuietAccess(I.B);
-      if (!Emit)
-        ++Stats.QuietIndirectSuppressed;
-      if (ISP_UNLIKELY(!memWrite(T, static_cast<Addr>(Base + Index), Value,
-                                 Emit)))
-        return compiledBlockFail(T, F, InstrPc, Pc, Sp);
-      if (TraceActive && Emit)
-        SpliceSeg(*++Seg);
-      // The access may have grown this thread's stack vector.
-      if (Plan->MaxSlot >= 0)
-        Stack = T.StackMemory.data() + FrameOff;
-      break;
-    }
-    default:
-      ISP_UNREACHABLE("ineligible opcode inside a compiled block");
-    }
-  }
-  assert(Sp == Ops.data() + static_cast<int64_t>(EntryDepth) +
-                   Plan->NetEffect &&
-         "static stack effect must match the executed run");
-  Ops.resize(static_cast<size_t>(static_cast<int64_t>(EntryDepth) +
-                                 Plan->NetEffect));
 
-  Stats.BasicBlocks += Plan->NumBlocks;
-  Stats.MemReads += Plan->Reads;
-  Stats.MemWrites += Plan->Writes;
-  if (TraceActive)
-    Stats.QuietEventsSuppressed += Plan->QuietSkips;
-  ++Stats.CompiledBlockRuns;
-  Stats.CompiledBlockInstrs += Plan->instrCount();
-  F.Pc = Plan->EndPc;
-  return Extra;
-}
-
-uint64_t Machine::compiledBlockFail(ThreadCtx &T, Frame &F, size_t InstrPc,
-                                    size_t FailPc, int64_t *Sp) {
-  // The machine has already failed with the slow path's diagnostic;
-  // events and time are correct as-is (only segments preceding the
-  // failing instruction were spliced, and the static instructions they
-  // cover all executed). Retroactively account the executed prefix
-  // that tryCompiledBlock's bulk success-path tallies would have
-  // covered -- dynamic accesses self-account through memRead/memWrite
-  // -- and hand the covered quotient back, counting the failing
-  // instruction, exactly as the slow path's dispatch preamble would.
-  const Instr *Code = F.Fn->Code.data();
-  for (size_t P = InstrPc; P != FailPc; ++P) {
-    const Instr &J = Code[P];
-    switch (J.Opcode) {
     case Op::BasicBlock:
       ++Stats.BasicBlocks;
+      if (TraceActive)
+        Events->enqueue(EventRecord::basicBlock(T.Id, now()));
       break;
-    case Op::LoadLocal:
-    case Op::LoadGlobal:
-      ++Stats.MemReads;
-      if (J.B != 0 && TraceActive)
-        ++Stats.QuietEventsSuppressed;
+
+    case Op::PushConst:
+      T.Operands.push_back(I->A);
       break;
-    case Op::StoreLocal:
-    case Op::StoreGlobal:
-      ++Stats.MemWrites;
-      if (J.B != 0 && TraceActive)
-        ++Stats.QuietEventsSuppressed;
+
+    case Op::Pop:
+      popValue(T.Operands);
       break;
-    default:
+
+    case Op::LoadLocal: {
+      int64_t Value = 0;
+      if (!memRead(T, F->FrameBase + static_cast<Addr>(I->A), Value,
+                   /*Emit=*/noteQuietAccess(I->B)))
+        return !Failed;
+      T.Operands.push_back(Value);
       break;
     }
+
+    case Op::StoreLocal:
+      if (!memWrite(T, F->FrameBase + static_cast<Addr>(I->A),
+                    popValue(T.Operands),
+                    /*Emit=*/noteQuietAccess(I->B)))
+        return !Failed;
+      break;
+
+    case Op::LoadGlobal: {
+      int64_t Value = 0;
+      if (!memRead(T, static_cast<Addr>(I->A), Value,
+                   /*Emit=*/noteQuietAccess(I->B)))
+        return !Failed;
+      T.Operands.push_back(Value);
+      break;
+    }
+
+    case Op::StoreGlobal:
+      if (!memWrite(T, static_cast<Addr>(I->A), popValue(T.Operands),
+                    /*Emit=*/noteQuietAccess(I->B)))
+        return !Failed;
+      break;
+
+    case Op::LoadIndirect: {
+      int64_t Index = popValue(T.Operands);
+      int64_t Base = popValue(T.Operands);
+      int64_t Value = 0;
+      bool Emit = noteQuietAccess(I->B);
+      if (!Emit)
+        ++Stats.QuietIndirectSuppressed;
+      if (!memRead(T, static_cast<Addr>(Base) + static_cast<Addr>(Index), Value, Emit))
+        return !Failed;
+      T.Operands.push_back(Value);
+      break;
+    }
+
+    case Op::StoreIndirect: {
+      int64_t Value = popValue(T.Operands);
+      int64_t Index = popValue(T.Operands);
+      int64_t Base = popValue(T.Operands);
+      bool Emit = noteQuietAccess(I->B);
+      if (!Emit)
+        ++Stats.QuietIndirectSuppressed;
+      if (!memWrite(T, static_cast<Addr>(Base) + static_cast<Addr>(Index), Value, Emit))
+        return !Failed;
+      break;
+    }
+
+    case Op::AllocaArray: {
+      int64_t N = popValue(T.Operands);
+      if (N < 0) {
+        runtimeError("negative local array size");
+        return !Failed;
+      }
+      Addr Base = T.Sp;
+      if (Base + static_cast<Addr>(N) >= T.StackBase + Options.StackCells) {
+        runtimeError(formatString("guest stack overflow (local array of "
+                                  "%lld cells) in thread %u",
+                                  static_cast<long long>(N), T.Id));
+        return !Failed;
+      }
+      T.Sp += static_cast<Addr>(N);
+      T.Operands.push_back(static_cast<int64_t>(Base));
+      break;
+    }
+
+// Pop the right operand, rewrite the left in place: one size update
+// instead of three on the operand vector.
+#define ISP_BINARY_CASE(OPCODE, EXPR)                                          \
+  case Op::OPCODE: {                                                           \
+    int64_t Rhs = popValue(T.Operands);                                        \
+    assert(!T.Operands.empty() && "operand stack underflow");                  \
+    int64_t &Slot = T.Operands.back();                                         \
+    int64_t Lhs = Slot;                                                        \
+    (void)Lhs;                                                                 \
+    (void)Rhs;                                                                 \
+    Slot = (EXPR);                                                             \
+    break;                                                                     \
   }
-  ++Stats.CompiledBlockRuns;
-  Stats.CompiledBlockInstrs += FailPc - InstrPc;
-  T.Operands.resize(static_cast<size_t>(Sp - T.Operands.data()));
-  F.Pc = FailPc + 1;
-  return FailPc - InstrPc;
+
+      ISP_BINARY_CASE(Add, guestAdd(Lhs, Rhs))
+      ISP_BINARY_CASE(Sub, guestSub(Lhs, Rhs))
+      ISP_BINARY_CASE(Mul, guestMul(Lhs, Rhs))
+      ISP_BINARY_CASE(Lt, Lhs < Rhs ? 1 : 0)
+      ISP_BINARY_CASE(Le, Lhs <= Rhs ? 1 : 0)
+      ISP_BINARY_CASE(Gt, Lhs > Rhs ? 1 : 0)
+      ISP_BINARY_CASE(Ge, Lhs >= Rhs ? 1 : 0)
+      ISP_BINARY_CASE(Eq, Lhs == Rhs ? 1 : 0)
+      ISP_BINARY_CASE(Ne, Lhs != Rhs ? 1 : 0)
+#undef ISP_BINARY_CASE
+
+    case Op::Div: {
+      int64_t Rhs = popValue(T.Operands);
+      if (Rhs == 0) {
+        runtimeError("division by zero");
+        return !Failed;
+      }
+      T.Operands.back() = guestDiv(T.Operands.back(), Rhs);
+      break;
+    }
+
+    case Op::Mod: {
+      int64_t Rhs = popValue(T.Operands);
+      if (Rhs == 0) {
+        runtimeError("modulo by zero");
+        return !Failed;
+      }
+      T.Operands.back() = guestMod(T.Operands.back(), Rhs);
+      break;
+    }
+
+    case Op::Neg:
+      T.Operands.back() = guestNeg(T.Operands.back());
+      break;
+
+    case Op::Not:
+      T.Operands.back() = T.Operands.back() == 0 ? 1 : 0;
+      break;
+
+    case Op::ToBool:
+      T.Operands.back() = T.Operands.back() != 0 ? 1 : 0;
+      break;
+
+    case Op::Jump:
+      F->Pc = static_cast<size_t>(I->A);
+      // Jump, Call, CallBuiltin, Spawn, and Return are the optimizer's
+      // window-breaking instructions: a fresh quiet window starts after
+      // each, so any earlier mid-window interruption is behind us.
+      WindowInterrupted = false;
+      break;
+
+    case Op::JumpIfFalse:
+      if (popValue(T.Operands) == 0)
+        F->Pc = static_cast<size_t>(I->A);
+      break;
+
+    case Op::JumpIfTrue:
+      if (popValue(T.Operands) != 0)
+        F->Pc = static_cast<size_t>(I->A);
+      break;
+
+    case Op::Call: {
+      const Function &Callee = Prog.Functions[static_cast<size_t>(I->A)];
+      size_t NumArgs = static_cast<size_t>(I->B);
+      ArgScratch.resize(NumArgs);
+      for (size_t J = NumArgs; J > 0; --J)
+        ArgScratch[J - 1] = popValue(T.Operands);
+      if (!pushFrame(T, &Callee, ArgScratch.data(), NumArgs))
+        return !Failed;
+      F = &T.Frames.back();
+      CodeBase = F->Fn->Code.data();
+      assert(F->Pc < F->Fn->Code.size() && "pc out of range");
+      WindowInterrupted = false;
+      break;
+    }
+
+    case Op::CallBuiltin: {
+      bool Proceeded = handleBuiltin(T, static_cast<Builtin>(I->A),
+                                     static_cast<unsigned>(I->B));
+      if (!Proceeded)
+        F->Pc = InstrPc; // blocked: retry this instruction when woken
+      if (!Proceeded || Failed)
+        return !Failed;
+      WindowInterrupted = false;
+      if (YieldRequested || T.State != ThreadStateKind::Runnable)
+        return true;
+      break;
+    }
+
+    case Op::Spawn: {
+      if (ThreadList.size() >= MaxGuestThreads) {
+        runtimeError(formatString("too many guest threads (max %llu)",
+                                  static_cast<unsigned long long>(
+                                      MaxGuestThreads)));
+        return !Failed;
+      }
+      const Function &Callee = Prog.Functions[static_cast<size_t>(I->A)];
+      size_t NumArgs = static_cast<size_t>(I->B);
+      ArgScratch.resize(NumArgs);
+      for (size_t J = NumArgs; J > 0; --J)
+        ArgScratch[J - 1] = popValue(T.Operands);
+      ThreadCtx &Child = newThread(T.Id, &Callee);
+      // The parent writes the arguments into the child's (future) entry
+      // frame, like code publishing an argument block before calling
+      // pthread_create: when the child first reads its parameters, those
+      // are induced first-accesses — genuine thread-communication input.
+      // The writes precede the ThreadCreate event so the create edge
+      // orders them for happens-before analyses.
+      for (size_t J = 0; J != NumArgs; ++J)
+        if (!memWrite(T, Child.StackBase + J, ArgScratch[J]))
+          return !Failed;
+      emitEvent(EventRecord::threadCreate(T.Id, now(), Child.Id));
+      T.Operands.push_back(Child.Id);
+      WindowInterrupted = false;
+      break;
+    }
+
+    case Op::Return: {
+      int64_t Result = popValue(T.Operands);
+      Frame Completed = T.Frames.back();
+      if (TraceActive)
+        Events->enqueue(EventRecord::ret(T.Id, now(), Completed.Fn->Id, 0));
+      T.Frames.pop_back();
+      T.Sp = Completed.SavedSp;
+      T.Operands.resize(Completed.OperandBase);
+      if (T.Frames.empty()) {
+        finishThread(T, Result);
+        return !Failed;
+      }
+      T.Operands.push_back(Result);
+      F = &T.Frames.back();
+      CodeBase = F->Fn->Code.data();
+      assert(F->Pc < F->Fn->Code.size() && "pc out of range");
+      WindowInterrupted = false;
+      break;
+    }
+
+    default:
+      ISP_UNREACHABLE("unknown opcode");
+    }
+  }
+
+  if (Capped) {
+    runtimeError("guest instruction budget exceeded (possible infinite "
+                 "loop)");
+    return false;
+  }
+  return true;
 }
 
 RunResult Machine::run() {
@@ -771,8 +784,6 @@ RunResult Machine::run() {
     R.counter("machine.quiet_window_aborts").add(Stats.QuietWindowAborts);
     R.counter("machine.quiet_indirect_suppressed")
         .add(Stats.QuietIndirectSuppressed);
-    R.counter("machine.compiled_block_runs").add(Stats.CompiledBlockRuns);
-    R.counter("machine.compiled_block_instrs").add(Stats.CompiledBlockInstrs);
     R.gauge("machine.guest_memory_bytes").noteMax(Stats.GuestMemoryBytes);
   }
 

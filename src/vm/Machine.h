@@ -20,9 +20,7 @@
 #define ISPROF_VM_MACHINE_H
 
 #include "instr/Dispatcher.h"
-#include "support/Compiler.h"
 #include "support/Random.h"
-#include "vm/BlockCompiler.h"
 #include "vm/Bytecode.h"
 #include "vm/Device.h"
 
@@ -32,17 +30,6 @@
 #include <vector>
 
 namespace isp {
-
-/// Interpreter dispatch strategy. Threaded dispatch (computed gotos with
-/// per-pc pre-resolved label tables) is available on GCC/Clang builds
-/// unless ISP_FORCE_SWITCH_DISPATCH compiled it out; Auto picks it when
-/// available and falls back to the portable switch loop otherwise.
-/// Both strategies execute identical semantics and produce byte-identical
-/// event streams (property-tested).
-enum class DispatchMode : uint8_t { Auto, Switch, Threaded };
-
-/// True when this build can honor DispatchMode::Threaded.
-inline constexpr bool ThreadedDispatchAvailable = ISP_DISPATCH_THREADED != 0;
 
 struct MachineOptions {
   /// Scheduling quantum in bytecode instructions. Smaller slices
@@ -54,11 +41,6 @@ struct MachineOptions {
   uint64_t StackCells = uint64_t(1) << 17;
   /// Seed for the guest rand() builtin and device streams.
   uint64_t Seed = 42;
-  /// Interpreter loop selection (see DispatchMode).
-  DispatchMode Dispatch = DispatchMode::Auto;
-  /// Compile straight-line basic blocks into pre-compacted event batch
-  /// templates executed by a block fast path (see vm/BlockCompiler.h).
-  bool BlockCompile = false;
 };
 
 struct RunStats {
@@ -83,11 +65,6 @@ struct RunStats {
   /// the alias-analysis-driven marks (analysis layer, PR: static
   /// analysis) actually paying off at runtime.
   uint64_t QuietIndirectSuppressed = 0;
-  /// Block fast path engagement: templated runs executed and the guest
-  /// instructions they covered (the latter is included in Instructions —
-  /// instruction accounting is dispatch-strategy-invariant).
-  uint64_t CompiledBlockRuns = 0;
-  uint64_t CompiledBlockInstrs = 0;
 };
 
 struct RunResult {
@@ -218,39 +195,8 @@ private:
   /// Executes up to SliceLength instructions of thread \p T — the
   /// fetch-execute loop itself, with the current frame cached across
   /// instructions. Returns false when the machine must stop (error or
-  /// program end). Dispatches to the switch or threaded loop variant;
-  /// both are generated from vm/MachineInterp.inc.
+  /// program end).
   bool runSlice(ThreadCtx &T);
-  bool runSliceSwitch(ThreadCtx *T);
-#if ISP_DISPATCH_THREADED
-  /// Computed-goto variant; its per-opcode label table is a static
-  /// local (labels-as-values are only visible inside the defining
-  /// function).
-  bool runSliceThreaded(ThreadCtx *T);
-#endif
-  /// Block fast path: executes the compiled template headed by the
-  /// Op::BasicBlock at \p InstrPc when every runtime gate passes, and
-  /// splices its pre-compacted events into the dispatcher. Returns the
-  /// number of *extra* instructions retired beyond the marker itself
-  /// (so the caller adds it to the tally), or 0 when the slow path must
-  /// run the block instead. \p BudgetLeft is the slice budget remaining
-  /// after the marker. Deliberately out-of-line: inlined into the
-  /// interpreter loops it bloats their frames enough to slow the
-  /// per-instruction dispatch itself (one call per Op::BasicBlock is
-  /// noise next to that).
-  ISP_NOINLINE uint64_t tryCompiledBlock(ThreadCtx &T, Frame &F,
-                                         size_t InstrPc, uint64_t BudgetLeft);
-  /// Stop-before-failure exit for a compiled run whose dynamic
-  /// instruction failed at \p FailPc: retroactively accounts the
-  /// executed prefix [InstrPc, FailPc) and hands back the covered
-  /// quotient (see tryCompiledBlock). \p Sp is the run's live operand
-  /// cursor. Cold: reached at most once per run, kept out of the fast
-  /// path's text entirely.
-  ISP_COLD uint64_t compiledBlockFail(ThreadCtx &T, Frame &F, size_t InstrPc,
-                                      size_t FailPc, int64_t *Sp);
-  size_t functionIndex(const Function *Fn) const {
-    return static_cast<size_t>(Fn - Prog.Functions.data());
-  }
   bool handleBuiltin(ThreadCtx &T, Builtin B, unsigned NumArgs);
   void runtimeError(const std::string &Message);
 
@@ -266,11 +212,6 @@ private:
   /// deque: spawn must not invalidate references to running threads.
   std::deque<ThreadCtx> ThreadList;
   std::vector<Semaphore> Semaphores;
-
-  /// Dispatch/block-compile state resolved at construction.
-  bool UseThreaded = false;
-  bool BlockCompileActive = false;
-  std::vector<FunctionBlockPlans> BlockPlans;
 
   uint64_t EventTime = 0;
   bool TraceActive = false;

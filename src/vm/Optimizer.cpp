@@ -6,9 +6,7 @@
 
 #include "vm/Optimizer.h"
 
-#include "analysis/Escape.h"
 #include "analysis/PointsTo.h"
-#include "analysis/Range.h"
 #include "obs/Obs.h"
 
 #include <cassert>
@@ -27,19 +25,19 @@ namespace {
 std::optional<int64_t> foldBinary(Op Opcode, int64_t Lhs, int64_t Rhs) {
   switch (Opcode) {
   case Op::Add:
-    return Lhs + Rhs;
+    return guestAdd(Lhs, Rhs);
   case Op::Sub:
-    return Lhs - Rhs;
+    return guestSub(Lhs, Rhs);
   case Op::Mul:
-    return Lhs * Rhs;
+    return guestMul(Lhs, Rhs);
   case Op::Div:
     if (Rhs == 0)
       return std::nullopt;
-    return Lhs / Rhs;
+    return guestDiv(Lhs, Rhs);
   case Op::Mod:
     if (Rhs == 0)
       return std::nullopt;
-    return Lhs % Rhs;
+    return guestMod(Lhs, Rhs);
   case Op::Lt:
     return Lhs < Rhs ? 1 : 0;
   case Op::Le:
@@ -60,7 +58,7 @@ std::optional<int64_t> foldBinary(Op Opcode, int64_t Lhs, int64_t Rhs) {
 std::optional<int64_t> foldUnary(Op Opcode, int64_t Operand) {
   switch (Opcode) {
   case Op::Neg:
-    return -Operand;
+    return guestNeg(Operand);
   case Op::Not:
     return Operand == 0 ? 1 : 0;
   case Op::ToBool:
@@ -657,29 +655,8 @@ OptimizerStats isp::optimizeProgram(Program &Prog) {
                     .add(R.Marked));
   }
 
-  // Range-based covered-read pass: variable-index LoadIndirect sites
-  // whose event is proven redundant by the interprocedural certificate
-  // (never-escaping frame array, dominating certified fill loop,
-  // in-bounds index, program-wide containment — see Range.h). These are
-  // loop re-reads the window-local value numbering above can never mark
-  // (every loop iteration re-enters the window).
-  {
-    analysis::EscapeResult Esc = analysis::computeEscape(Prog);
-    analysis::RangeResult RR = analysis::computeRanges(Prog);
-    for (const auto &Site : analysis::coveredIndirectReads(Prog, PT, Esc, RR)) {
-      Instr &In = Prog.Functions[Site.first].Code[Site.second];
-      if (In.Opcode != Op::LoadIndirect || In.B != 0)
-        continue; // already marked by the window pass
-      In.B = 1;
-      ++Total.RangeQuietMarked;
-      ++Total.QuietIndirectMarked;
-      ++Total.QuietAccessesMarked;
-    }
-  }
-
   if (ISP_UNLIKELY(obs::statsEnabled())) {
     obs::Registry &R = obs::Registry::get();
-    R.counter("analysis.range_quiet_marked").add(Total.RangeQuietMarked);
     R.counter("optimizer.constants_folded").add(Total.ConstantsFolded);
     R.counter("optimizer.jumps_threaded").add(Total.JumpsThreaded);
     R.counter("optimizer.branches_resolved").add(Total.BranchesResolved);

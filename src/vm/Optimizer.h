@@ -78,11 +78,6 @@ struct OptimizerStats {
   /// LoadIndirect/StoreIndirect instructions marked quiet (subset of
   /// QuietAccessesMarked) — the alias-analysis-driven extension.
   unsigned QuietIndirectMarked = 0;
-  /// Variable-index LoadIndirect sites marked quiet by the
-  /// interprocedural covered-read certificate (Range.h) — a subset of
-  /// QuietIndirectMarked that the window-local value numbering cannot
-  /// see (the proof spans loops and the whole program).
-  unsigned RangeQuietMarked = 0;
 };
 
 /// Optimizes one function in place.

@@ -879,74 +879,6 @@ TEST(GrowthTest, LoopNestsCallsAndRecursion) {
   EXPECT_FALSE(growthAgrees(1, 2.2));
 }
 
-// --- The covered-read certificate. ---
-
-const char *CoveredReadSource = R"(
-    fn work(n) {
-      var acc = 0;
-      for (var i = 0; i < n; i = i + 1) { acc = acc + i; }
-      return acc;
-    }
-    fn main() {
-      var w[4];
-      var t = 0;
-      while (t < 4) {
-        w[t] = spawn work(16);
-        t = t + 1;
-      }
-      var total = 0;
-      t = 0;
-      while (t < 4) {
-        total = total + join(w[t]);
-        t = t + 1;
-      }
-      print(total);
-      return 0;
-    })";
-
-TEST(CoveredReadTest, FillLoopPlusReadLoopCertifies) {
-  Program Prog = compile(CoveredReadSource);
-  PointsToResult PT = computePointsTo(Prog);
-  EscapeResult Esc = computeEscape(Prog);
-  RangeResult RR = computeRanges(Prog);
-  std::vector<std::pair<size_t, size_t>> Covered =
-      coveredIndirectReads(Prog, PT, Esc, RR);
-  ASSERT_EQ(Covered.size(), 1u);
-  // The certified site is the join(w[t]) re-read in main.
-  size_t Main = functionIndex(Prog, "main");
-  EXPECT_EQ(Covered[0].first, Main);
-  EXPECT_EQ(Prog.Functions[Main].Code[Covered[0].second].Opcode,
-            Op::LoadIndirect);
-}
-
-TEST(CoveredReadTest, EscapingBaseKillsTheCertificate) {
-  Program Prog = compile(R"(
-    fn peek(p) {
-      return p;
-    }
-    fn main() {
-      var w[4];
-      var t = 0;
-      while (t < 4) {
-        w[t] = t * t;
-        t = t + 1;
-      }
-      var x = peek(w);
-      var total = 0;
-      t = 0;
-      while (t < 4) {
-        total = total + w[t];
-        t = t + 1;
-      }
-      print(total);
-      return 0;
-    })");
-  PointsToResult PT = computePointsTo(Prog);
-  EscapeResult Esc = computeEscape(Prog);
-  RangeResult RR = computeRanges(Prog);
-  EXPECT_TRUE(coveredIndirectReads(Prog, PT, Esc, RR).empty());
-}
-
 // --- Verifier: exact-range index rejection. ---
 
 TEST(VerifierTest, RejectsConstantFoldableOutOfBoundsIndex) {

@@ -235,18 +235,6 @@ TEST(Driver, AnnotateRangesDisassembly) {
       << Notes.Output;
 }
 
-TEST(Driver, IndexedExampleRecoversRangeQuietMark) {
-  // The shipped indexed.mini exists to prove the covered-read
-  // certificate fires on real guest code: one variable-index join
-  // re-read earns a static quiet mark.
-  CommandResult R = runDriver("run " + guest("indexed.mini") +
-                              " --optimize --stats=json");
-  EXPECT_EQ(R.ExitCode, 0) << R.Output;
-  EXPECT_NE(R.Output.find("\"analysis.range_quiet_marked\": 1"),
-            std::string::npos)
-      << R.Output;
-}
-
 TEST(Driver, WorkloadCommand) {
   CommandResult R = runDriver("workload producer_consumer --size=32");
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
@@ -498,6 +486,26 @@ TEST(Driver, ErrorsAreClean) {
   EXPECT_NE(R.ExitCode, 0);
   EXPECT_NE(R.Output.find("undeclared variable"), std::string::npos);
   std::remove(BadPath.c_str());
+  // Spawning past the guest thread limit is a guest runtime error with
+  // a diagnostic, not a signal — also with the shadow-memory profiler
+  // attached, whose address range the limit protects.
+  std::string ThreadsPath = ::testing::TempDir() + "isprof_threads.mini";
+  {
+    std::ofstream Threads(ThreadsPath);
+    Threads << "fn tiny() { return 0; }\n"
+               "fn main() {\n"
+               "  var i = 0;\n"
+               "  while (i < 897) { var t = spawn tiny(); join(t); "
+               "i = i + 1; }\n"
+               "  return 0;\n"
+               "}\n";
+  }
+  CommandResult Many = runDriver("run " + ThreadsPath + " --tools=aprof-trms");
+  EXPECT_EQ(Many.ExitCode, 1) << Many.Output;
+  EXPECT_NE(Many.Output.find("too many guest threads (max 896)"),
+            std::string::npos)
+      << Many.Output;
+  std::remove(ThreadsPath.c_str());
 }
 
 } // namespace

@@ -417,8 +417,7 @@ TEST(ObsAnalysis, PassCountersAndTimersRegister) {
 
 TEST(ObsAnalysis, RangeEscapeAndBoundsCountersExport) {
   // The value-range/escape layer publishes its own family: interval
-  // facts, never-escaping frame arrays, lint warnings, and the
-  // variable-index marks the covered-read certificate recovers — plus
+  // facts, never-escaping frame arrays and lint warnings — plus
   // wall-time for the range solve and the lint. All of them must also
   // survive both export formats.
   obs::setStatsEnabled(true);
@@ -426,11 +425,8 @@ TEST(ObsAnalysis, RangeEscapeAndBoundsCountersExport) {
   uint64_t RangeFacts0 = Reg.counter("analysis.range_facts").value();
   uint64_t Escape0 = Reg.counter("analysis.escape_objects").value();
   uint64_t Bounds0 = Reg.counter("analysis.bounds_warnings").value();
-  uint64_t RangeMarked0 =
-      Reg.counter("analysis.range_quiet_marked").value();
 
-  // Fill loop covers every cell of a never-escaping frame array, so the
-  // read loop's variable-index load earns a quiet mark.
+  // A frame array used only through its own slot never escapes.
   DiagnosticEngine Diags;
   std::optional<Program> Prog = compileProgram(R"(
     fn main() {
@@ -451,7 +447,7 @@ TEST(ObsAnalysis, RangeEscapeAndBoundsCountersExport) {
                                                Diags);
   ASSERT_TRUE(Prog.has_value()) << Diags.render();
   (void)analysis::computeEscape(*Prog);
-  optimizeProgram(*Prog);
+  (void)analysis::computeRanges(*Prog);
 
   // A provably out-of-range store feeds the bounds-warning counter.
   std::optional<Program> Bad = compileProgram(R"(
@@ -469,8 +465,6 @@ TEST(ObsAnalysis, RangeEscapeAndBoundsCountersExport) {
   EXPECT_GT(Reg.counter("analysis.range_facts").value(), RangeFacts0);
   EXPECT_GT(Reg.counter("analysis.escape_objects").value(), Escape0);
   EXPECT_GT(Reg.counter("analysis.bounds_warnings").value(), Bounds0);
-  EXPECT_GT(Reg.counter("analysis.range_quiet_marked").value(),
-            RangeMarked0);
   EXPECT_GT(Reg.counter("analysis.range_ns").value(), 0u);
   EXPECT_GT(Reg.counter("analysis.bounds_lint_ns").value(), 0u);
 
@@ -479,8 +473,8 @@ TEST(ObsAnalysis, RangeEscapeAndBoundsCountersExport) {
   const std::string Csv = Reg.renderCsv();
   for (const char *Name :
        {"analysis.range_facts", "analysis.escape_objects",
-        "analysis.bounds_warnings", "analysis.range_quiet_marked",
-        "analysis.range_ns", "analysis.bounds_lint_ns"}) {
+        "analysis.bounds_warnings", "analysis.range_ns",
+        "analysis.bounds_lint_ns"}) {
     EXPECT_NE(Json.find(formatString("\"%s\"", Name)), std::string::npos)
         << Name;
     EXPECT_NE(Csv.find(formatString("counter,%s,", Name)),

@@ -7,10 +7,14 @@
 #include "vm/Machine.h"
 
 #include "instr/Dispatcher.h"
+#include "support/Format.h"
 #include "tools/NulTool.h"
 #include "vm/Compiler.h"
+#include "vm/Optimizer.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 using namespace isp;
 
@@ -139,6 +143,33 @@ TEST(Machine, DivisionByZeroFails) {
   RunResult R = run("fn main() { var x = 0; return 1 / x; }");
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("division by zero"), std::string::npos);
+}
+
+TEST(Machine, IntegerArithmeticWraps) {
+  // 64-bit two's complement, executed and constant-folded alike; the
+  // one trapping division, INT64_MIN / -1, wraps instead.
+  const char *Source = R"(
+    fn main() {
+      var min = 0 - 9223372036854775807 - 1;
+      var m1 = 0 - 1;
+      print(9223372036854775807 + 1 == min);
+      print(min * m1 == min);
+      print(0 - min == min);
+      print(min / m1 == min);
+      print(min % m1);
+      print((0 - 9223372036854775807 - 1) / (0 - 1) == min);
+      print((0 - 9223372036854775807 - 1) % (0 - 1));
+      return 0;
+    })";
+  EXPECT_EQ(runOutput(Source), "1\n1\n1\n1\n0\n1\n0\n");
+  DiagnosticEngine Diags;
+  std::optional<Program> Prog = compileProgram(Source, Diags);
+  ASSERT_TRUE(Prog.has_value()) << Diags.render();
+  EXPECT_GT(optimizeProgram(*Prog).ConstantsFolded, 0u);
+  Machine M(*Prog, nullptr);
+  RunResult R = M.run();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, "1\n1\n1\n1\n0\n1\n0\n");
 }
 
 TEST(Machine, WildAddressFails) {
@@ -493,6 +524,229 @@ TEST(Machine, NativeRunMatchesInstrumentedRun) {
   EXPECT_GT(Nul.eventsSeen(), 0u);
 }
 
+//===----------------------------------------------------------------------===//
+// Golden event streams
+//===----------------------------------------------------------------------===//
+//
+// The interpreter's observable output pinned to fixed values: a digest
+// of every recorded stream word, the run statistics and the failure
+// diagnostic of a table of guests covering straight-line code, optimizer
+// quiet marks, thread interleaving at several slice lengths, a tiny
+// batch capacity (flush timing), indirect and builtin accesses, and two
+// mid-run failures. Any change to event content, compaction, flush
+// timing or accounting shows up here as a mismatch.
+
+const char *StraightLineHeavySource = R"(
+  var total;
+  var bias;
+  fn step(a, b) {
+    var x = a * 3 + b;
+    var y = x - a;
+    var z = x * y + bias;
+    total = total + z;
+    return z;
+  }
+  fn main() {
+    bias = 7;
+    var i = 0;
+    var acc = 0;
+    while (i < 200) {
+      acc = acc + step(i, acc);
+      i = i + 1;
+    }
+    return acc % 255;
+  })";
+
+const char *MultiThreadedSource = R"(
+  var shared[8];
+  var gate;
+  fn worker(id, rounds) {
+    var i = 0;
+    var acc = 0;
+    while (i < rounds) {
+      var v = shared[id] + i;
+      shared[id] = v;
+      acc = acc + v * 2 - id;
+      i = i + 1;
+    }
+    return acc;
+  }
+  fn main() {
+    gate = lock_create();
+    var a = spawn worker(1, 40);
+    var b = spawn worker(2, 55);
+    var own = worker(0, 30);
+    return (own + join(a) + join(b)) % 1023;
+  })";
+
+const char *IndirectAndBuiltinSource = R"(
+  var buf[16];
+  fn fill(n) {
+    var i = 0;
+    while (i < n) {
+      buf[i] = i * i;
+      i = i + 1;
+    }
+    return i;
+  }
+  fn main() {
+    sysread(1, buf, 8);
+    var n = fill(12);
+    var p = alloc(6);
+    store(p + 1, 42);
+    var v = load(p + 1);
+    syswrite(2, buf, 4);
+    return n + v + buf[3];
+  })";
+
+// The divisor reaches zero on the fourth iteration.
+const char *DivideByZeroSource = R"(
+  fn main() {
+    var i = 0;
+    var acc = 7;
+    while (i < 10) {
+      acc = acc + 100 / (3 - i);
+      i = i + 1;
+    }
+    return acc;
+  })";
+
+// The second iteration indexes far outside the globals region.
+const char *InvalidIndirectSource = R"(
+  var buf[4];
+  fn main() {
+    var i = 0;
+    var acc = 0;
+    while (i < 100) {
+      acc = acc + buf[i * 50];
+      i = i + 1;
+    }
+    return acc;
+  })";
+
+/// RunStats in a fixed field order, so a table row can hold them.
+constexpr size_t NumGoldenStats = 11;
+std::array<uint64_t, NumGoldenStats> goldenStats(const RunStats &S) {
+  return {S.Instructions,          S.BasicBlocks,
+          S.MemReads,              S.MemWrites,
+          S.ThreadsSpawned,        S.ThreadSwitches,
+          S.HeapCellsAllocated,    S.GuestMemoryBytes,
+          S.QuietEventsSuppressed, S.QuietWindowAborts,
+          S.QuietIndirectSuppressed};
+}
+
+/// FNV-1a over every recorded word and the guest's printed output.
+uint64_t streamDigest(const std::vector<Event> &Words,
+                      const std::string &Output) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  auto Mix = [&H](uint64_t V, unsigned Bytes) {
+    for (unsigned I = 0; I != Bytes; ++I) {
+      H ^= (V >> (8 * I)) & 0xff;
+      H *= 0x100000001b3ull;
+    }
+  };
+  for (const Event &W : Words) {
+    Mix(W.Meta, 4);
+    Mix(W.TimeLow, 4);
+    Mix(W.Arg, 8);
+  }
+  for (char C : Output)
+    Mix(static_cast<unsigned char>(C), 1);
+  return H;
+}
+
+struct GoldenRun {
+  const char *Name;
+  const char *Source;
+  bool Optimize;
+  uint64_t SliceLength;
+  size_t BatchCapacity; ///< 0 keeps the dispatcher default
+  // Expected results.
+  const char *Error; ///< "" when the guest succeeds
+  int64_t ExitCode;
+  uint64_t Words;
+  uint64_t Digest;
+  std::array<uint64_t, NumGoldenStats> Stats;
+};
+
+const GoldenRun GoldenRuns[] = {
+    {"straight_line", StraightLineHeavySource, false, 150, 0,
+     "", -93, 5410, 0x429ef3e73bcb1a56ull,
+     {7817, 403, 3002, 1603, 1, 0, 0, 72, 0, 0, 0}},
+    {"quiet_marked", StraightLineHeavySource, true, 150, 0,
+     "", -93, 3812, 0xec1cbfe900b9e028ull,
+     {7817, 403, 3002, 1603, 1, 0, 0, 72, 1598, 2, 0}},
+    {"threads_slice1", MultiThreadedSource, true, 1, 0,
+     "", 691, 5329, 0xd68553402070a3ecull,
+     {3566, 135, 1637, 516, 3, 3136, 0, 224, 98, 778, 0}},
+    {"threads_slice7", MultiThreadedSource, true, 7, 0,
+     "", 691, 2641, 0xce6cff6b97b3619cull,
+     {3566, 135, 1637, 516, 3, 450, 0, 224, 98, 778, 0}},
+    {"threads_slice150", MultiThreadedSource, true, 150, 0,
+     "", 691, 1430, 0xbdee98e04a28856bull,
+     {3566, 135, 1637, 516, 3, 23, 0, 224, 789, 87, 0}},
+    {"straight_line_cap16", StraightLineHeavySource, false, 150, 16,
+     "", -93, 5410, 0x0a83ee46c02ed7a9ull,
+     {7817, 403, 3002, 1603, 1, 0, 0, 72, 0, 0, 0}},
+    {"quiet_marked_cap16", StraightLineHeavySource, true, 150, 16,
+     "", -93, 3813, 0x996855123ac67c07ull,
+     {7817, 403, 3002, 1603, 1, 0, 0, 72, 1598, 2, 0}},
+    {"threads_slice7_cap16", MultiThreadedSource, true, 7, 16,
+     "", 691, 2652, 0x138de8b511fa710bull,
+     {3566, 135, 1637, 516, 3, 450, 0, 224, 98, 778, 0}},
+    {"indirect_builtin", IndirectAndBuiltinSource, true, 150, 0,
+     "", 63, 91, 0xb11cba5011602b76ull,
+     {239, 16, 96, 30, 1, 0, 6, 224, 49, 0, 0}},
+    {"divide_by_zero", DivideByZeroSource, false, 150, 0,
+     "division by zero", 0, 26, 0xc573807c6a3ca080ull,
+     {70, 5, 15, 8, 1, 0, 0, 16, 0, 0, 0}},
+    {"invalid_indirect", InvalidIndirectSource, false, 150, 0,
+     "invalid memory access at address 67", 0, 17, 0xb325497c3ee47859ull,
+     {34, 3, 10, 4, 1, 0, 0, 56, 0, 0, 0}},
+};
+
+TEST(MachineGolden, EventStreamsMatchPinnedDigests) {
+  for (const GoldenRun &G : GoldenRuns) {
+    SCOPED_TRACE(G.Name);
+    DiagnosticEngine Diags;
+    std::optional<Program> Prog = compileProgram(G.Source, Diags);
+    ASSERT_TRUE(Prog.has_value()) << Diags.render();
+    if (G.Optimize)
+      optimizeProgram(*Prog);
+    EventDispatcher Dispatcher;
+    if (G.BatchCapacity != 0) {
+      ASSERT_TRUE(Dispatcher.setBatchCapacity(G.BatchCapacity));
+    }
+    Dispatcher.enableRecording();
+    MachineOptions Opts;
+    Opts.SliceLength = G.SliceLength;
+    Machine M(*Prog, &Dispatcher, Opts);
+    RunResult R = M.run();
+    const std::vector<Event> &Words = Dispatcher.recordedEvents();
+    uint64_t Digest = streamDigest(Words, R.Output);
+
+    std::array<uint64_t, NumGoldenStats> Stats = goldenStats(R.Stats);
+    EXPECT_EQ(R.Ok, G.Error[0] == '\0');
+    EXPECT_EQ(R.Error, G.Error);
+    EXPECT_EQ(R.ExitCode, G.ExitCode);
+    EXPECT_EQ(Words.size(), G.Words);
+    EXPECT_EQ(Digest, G.Digest);
+    EXPECT_EQ(Stats, G.Stats);
+    if (R.Error != G.Error || R.ExitCode != G.ExitCode ||
+        Words.size() != G.Words || Digest != G.Digest || Stats != G.Stats) {
+      std::string Row = formatString(
+          "\"%s\", %lld, %llu, 0x%016llxull, {", R.Error.c_str(),
+          static_cast<long long>(R.ExitCode),
+          static_cast<unsigned long long>(Words.size()),
+          static_cast<unsigned long long>(Digest));
+      for (size_t I = 0; I != NumGoldenStats; ++I)
+        Row += formatString("%s%llu", I ? ", " : "",
+                            static_cast<unsigned long long>(Stats[I]));
+      ADD_FAILURE() << "actual row: " << Row << "}";
+    }
+  }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -654,6 +908,32 @@ TEST(MachineEdge, SpawnStormCompletes) {
                     Opts);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Stats.ThreadsSpawned, 121u); // main + 120 workers
+}
+
+TEST(MachineEdge, TooManyGuestThreadsFails) {
+  // Thread t's stack region starts at StackRegionBase + t *
+  // StackRegionStride, so only MaxGuestThreads regions (main included)
+  // fit the guest address space: spawning one more is a guest runtime
+  // error, like any other, not a process abort.
+  const char *Source = R"(
+    fn tiny() { return 0; }
+    fn main() {
+      var i = 0;
+      while (i < %d) {
+        var t = spawn tiny();
+        join(t);
+        i = i + 1;
+      }
+      return 0;
+    })";
+  RunResult AtLimit = run(formatString(Source, 895));
+  ASSERT_TRUE(AtLimit.Ok) << AtLimit.Error;
+  EXPECT_EQ(AtLimit.Stats.ThreadsSpawned, MaxGuestThreads);
+
+  RunResult Over = run(formatString(Source, 897));
+  EXPECT_FALSE(Over.Ok);
+  EXPECT_EQ(Over.Error, "too many guest threads (max 896)");
+  EXPECT_EQ(Over.Stats.ThreadsSpawned, MaxGuestThreads);
 }
 
 TEST(MachineEdge, ThreadIdBuiltin) {

@@ -338,31 +338,9 @@ TEST_P(QuietIndirectWorkloadTest, MarksFireAndProfilesAreByteIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, QuietIndirectWorkloadTest,
-                         ::testing::Values("sort_compare", "botsalgn",
-                                           "md", "dedup"),
+                         ::testing::Values("sort_compare", "botsalgn"),
                          [](const ::testing::TestParamInfo<const char *>
                                 &Info) { return Info.param; });
-
-TEST(QuietIndirect, RangeCertificateRecoversVariableIndexMarks) {
-  // md and dedup re-read their spawn-handle frame arrays with a loop
-  // counter index — invisible to the window-local value numbering, but
-  // provable by the interprocedural covered-read certificate. The
-  // static pass must contribute marks of its own on both.
-  for (const char *Name : {"md", "dedup"}) {
-    const WorkloadInfo *W = findWorkload(Name);
-    ASSERT_NE(W, nullptr) << Name;
-    WorkloadParams Params;
-    Params.Threads = 3;
-    Params.Size = 48;
-    DiagnosticEngine Diags;
-    std::optional<Program> Prog =
-        compileProgram(W->MakeSource(Params), Diags);
-    ASSERT_TRUE(Prog.has_value()) << Name;
-    OptimizerStats Stats = optimizeProgram(*Prog);
-    EXPECT_GT(Stats.RangeQuietMarked, 0u) << Name;
-    EXPECT_GE(Stats.QuietIndirectMarked, Stats.RangeQuietMarked) << Name;
-  }
-}
 
 TEST(QuietIndirect, AnnotatedDisassemblyGolden) {
   // The --annotate-ranges surface: value-range facts on indirect and
