@@ -350,7 +350,7 @@ std::string isp::writeHotpathReport(unsigned Repeats) {
   }
 
   // Fleet collector: concurrent multi-stream ingest throughput and the
-  // routine-filtered chunk-skip ratio over the v2 activity bitmaps.
+  // routine-filtered chunk-skip ratio over the chunk activity masks.
   if (!writeCollectorSection(F, Repeats)) {
     std::fclose(F);
     return "";
@@ -556,15 +556,15 @@ bool isp::writeStreamingSection(FILE *F, unsigned Repeats) {
       return false;
     }
 
-    // One recording run feeding both sinks: the chunked stream writer
-    // and the in-memory Recorded vector it replaces.
+    // One recording run through the chunked stream writer; the
+    // in-memory comparison replays the same events decoded into a
+    // resident vector.
     TraceStreamWriter Writer;
     if (!Writer.open(StreamPath, Prog->Symbols.entries())) {
       std::fprintf(stderr, "hotpath report: %s\n", Writer.error().c_str());
       return false;
     }
     EventDispatcher Recorder;
-    Recorder.enableRecording();
     Recorder.setRecordSink(&Writer);
     Machine M(*Prog, &Recorder);
     RunResult Run = M.run(); // run() brackets the dispatcher start/finish
@@ -573,7 +573,18 @@ bool isp::writeStreamingSection(FILE *F, unsigned Repeats) {
                    Run.Ok ? Writer.error().c_str() : Run.Error.c_str());
       return false;
     }
-    std::vector<EventRecord> Recorded = Recorder.takeRecordedEvents();
+    std::vector<EventRecord> Recorded;
+    {
+      TraceStreamReader Reader;
+      std::vector<EventRecord> Chunk;
+      if (Reader.open(StreamPath))
+        while (Reader.nextChunk(Chunk))
+          Recorded.insert(Recorded.end(), Chunk.begin(), Chunk.end());
+      if (!Reader.error().empty()) {
+        std::fprintf(stderr, "hotpath report: %s\n", Reader.error().c_str());
+        return false;
+      }
+    }
     R.Events = Writer.eventsWritten();
     R.FileBytes = Writer.bytesWritten();
     R.Chunks = Writer.chunksWritten();
@@ -696,7 +707,6 @@ bool isp::writeParallelReplaySection(FILE *F, unsigned Repeats) {
     return false;
   }
   EventDispatcher Recorder;
-  Recorder.enableRecording();
   Recorder.setRecordSink(&Writer);
   Machine M(*Prog, &Recorder);
   RunResult Run = M.run();
@@ -881,7 +891,7 @@ bool isp::writeCollectorSection(FILE *F, unsigned Repeats) {
   // kdtree has the phase structure the chunk-skip gate needs: the
   // build phase's short tree_insert activations cluster in the leading
   // chunks, so a tree_insert-filtered ingest can prove the query-phase
-  // chunks irrelevant from the footer bitmaps alone. (Long-lived
+  // chunks irrelevant from the chunk masks alone. (Long-lived
   // routines like each thread's root can never be skipped — their
   // frames stay open across the whole stream.)
   const WorkloadInfo *W = findWorkload("kdtree");
@@ -901,7 +911,7 @@ bool isp::writeCollectorSection(FILE *F, unsigned Repeats) {
   }
 
   // Small chunks so the filtered pass has enough chunk granularity for
-  // the footer bitmaps to bite.
+  // the chunk masks to bite.
   const unsigned NumStreams = 3;
   TraceStreamOptions StreamOpts;
   StreamOpts.ChunkBytes = 4096;
@@ -916,7 +926,6 @@ bool isp::writeCollectorSection(FILE *F, unsigned Repeats) {
       return false;
     }
     EventDispatcher Recorder;
-    Recorder.enableRecording();
     Recorder.setRecordSink(&Writer);
     Machine M(*Prog, &Recorder);
     RunResult Run = M.run();
@@ -930,7 +939,7 @@ bool isp::writeCollectorSection(FILE *F, unsigned Repeats) {
   }
 
   // The filtered pass is the fleet use case ("where did the build
-  // phase get slow?") where the v2 bitmaps pay.
+  // phase get slow?") where the chunk masks pay.
   const std::string FilterRoutine = "tree_insert";
 
   struct Pass {

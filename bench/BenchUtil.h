@@ -140,7 +140,7 @@ bool writeBatchCapacitySection(FILE *F, unsigned Repeats);
 /// records several chunked streams of one workload, then measures the
 /// fleet collector's concurrent ingest throughput (streams/sec and
 /// events/sec into one rollup store) and a routine-filtered pass over
-/// the same streams, reporting the footer-bitmap chunk-skip ratio for
+/// the same streams, reporting the chunk-mask skip ratio for
 /// the rarest-active routine. Returns false (after a diagnostic) on
 /// failure.
 bool writeCollectorSection(FILE *F, unsigned Repeats);

@@ -7,8 +7,8 @@
 // The user-facing driver, mirroring how the paper's tool is invoked as
 // `valgrind --tool=aprof <program>`:
 //
-//   isprof run <prog.mini> [--tools=aprof-trms,...] [--record=trace.bin]
-//   isprof replay <trace.bin> [--tools=...]
+//   isprof run <prog.mini> [--tools=aprof-trms,...] [--record-stream=F]
+//   isprof replay <stream> [--tools=...]
 //   isprof check <prog.mini>
 //   isprof disasm <prog.mini>
 //   isprof workload <name> [--tools=...] [--threads=N] [--size=N]
@@ -17,7 +17,8 @@
 // `run` executes a guest-language program under any combination of the
 // registered analysis tools (aprof-trms, aprof-rms, helgrind, drd,
 // memcheck, callgrind, cct, nulgrind) in one pass, printing each tool's
-// report; --record also captures the event trace for offline replay.
+// report; --record-stream also writes the event stream for offline
+// replay, diff and collection.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +39,6 @@
 #include "support/Format.h"
 #include "shadow/ShardedShadow.h"
 #include "tools/ToolRegistry.h"
-#include "trace/TraceFile.h"
 #include "trace/TraceStream.h"
 #include "vm/Compiler.h"
 #include "vm/Diag.h"
@@ -70,9 +70,9 @@ int usage() {
       "\n"
       "commands:\n"
       "  run <prog.mini>       compile and execute under analysis tools\n"
-      "  diff <base.bin> <new.bin>  compare two recorded traces'\n"
+      "  diff <base> <new>     compare two recorded streams'\n"
       "                        input-sensitive profiles (regressions)\n"
-      "  replay <trace.bin>    run analysis tools over a recorded trace\n"
+      "  replay <stream>       run analysis tools over a recorded stream\n"
       "  collect <stream...>   ingest many recorded streams concurrently\n"
       "                        into a fleet-level rollup; --diff A B\n"
       "                        compares two stream sets' rms curves\n"
@@ -86,15 +86,11 @@ int usage() {
       "  --parallel-tools[=N]  deliver event batches to tools from N\n"
       "                  worker threads (default: auto); tools pinned to\n"
       "                  the dispatch thread fall back to serial delivery\n"
-      "  --record=PATH   (run) also record the event trace to PATH\n"
       "  --record-stream=PATH   (run, workload) stream the event trace\n"
       "                  to a chunked file as it happens: bounded memory\n"
       "                  regardless of trace length\n"
-      "  --replay-stream=PATH   (replay) replay a chunked stream file\n"
-      "                  chunk by chunk (bounded memory); plain replay\n"
-      "                  also auto-detects stream files by magic\n"
-      "  --replay-workers=N     (replay, streams, --tools=aprof-trms\n"
-      "                  only) partition shadow updates across N worker\n"
+      "  --replay-workers=N     (replay, --tools=aprof-trms only)\n"
+      "                  partition shadow updates across N worker\n"
       "                  threads with epoch-barrier coordination; the\n"
       "                  report is byte-identical to serial replay.\n"
       "                  0 = serial; env ISPROF_REPLAY_WORKERS engages\n"
@@ -131,10 +127,12 @@ int usage() {
       "collect options:\n"
       "  --spool=DIR     also ingest every stream file found in DIR\n"
       "  --watch=MS      with --spool: poll DIR every MS milliseconds for\n"
-      "                  new streams until DIR/collector.stop appears\n"
+      "                  new streams until DIR/collector.stop appears; a\n"
+      "                  stream still being written is retried each tick\n"
+      "                  and, at the stop, ingested as its complete chunks\n"
       "  --ingest-workers=N     concurrent ingestion threads (0 = auto)\n"
       "  --routine=a,b   restrict the rollup to these routines; chunks\n"
-      "                  their v2 activity bitmaps provably exclude are\n"
+      "                  their activity masks provably exclude are\n"
       "                  skipped without decoding\n"
       "  --program=NAME  program label for every stream (default: file\n"
       "                  stem)\n"
@@ -465,9 +463,6 @@ int commandRun(OptionParser &Options) {
   applyParallelTools(Dispatcher, ParallelWorkers);
   if (!applyBatchCapacity(Options, Dispatcher))
     return 2;
-  std::string RecordPath = Options.getString("record");
-  if (!RecordPath.empty())
-    Dispatcher.enableRecording();
   std::string StreamPath = Options.getString("record-stream");
   TraceStreamWriter StreamWriter;
   if (!StreamPath.empty()) {
@@ -498,18 +493,6 @@ int commandRun(OptionParser &Options) {
               formatWithCommas(Result.Stats.BasicBlocks).c_str(),
               static_cast<unsigned>(Result.Stats.ThreadsSpawned));
 
-  if (!RecordPath.empty()) {
-    TraceData Data;
-    Data.Routines = Prog->Symbols.entries();
-    Data.Events = Dispatcher.takeRecordedEvents();
-    if (!writeTraceFile(RecordPath, Data)) {
-      std::fprintf(stderr, "isprof: cannot write trace %s\n",
-                   RecordPath.c_str());
-      return 1;
-    }
-    std::printf("[trace: %zu events -> %s]\n\n", Data.Events.size(),
-                RecordPath.c_str());
-  }
   if (!StreamPath.empty()) {
     if (!StreamWriter.close()) {
       std::fprintf(stderr, "isprof: %s\n", StreamWriter.error().c_str());
@@ -532,20 +515,39 @@ int commandRun(OptionParser &Options) {
   return 0;
 }
 
+/// The warning for a stream used as its complete chunks only.
+void warnIncomplete(const std::string &Path, size_t Chunks) {
+  std::fprintf(stderr, "isprof: stream %s is incomplete: %zu complete "
+                       "chunk(s)\n",
+               Path.c_str(), Chunks);
+}
+
+/// Opens the stream at \p Path and interns its routines into \p Symbols.
+/// Returns false after a diagnostic when it cannot be read or is corrupt;
+/// an incomplete stream opens with a warning naming its complete chunks.
+bool openStream(const std::string &Path, TraceStreamReader &Reader,
+                SymbolTable &Symbols) {
+  if (!Reader.open(Path)) {
+    std::fprintf(stderr, "isprof: stream %s: %s\n", Path.c_str(),
+                 Reader.error().c_str());
+    return false;
+  }
+  if (!Reader.complete())
+    warnIncomplete(Path, Reader.chunkCount());
+  for (const auto &[Id, Name] : Reader.routines())
+    Symbols.intern(Name);
+  return true;
+}
+
 /// Parallel stream replay (--replay-workers=N): the shard-partitioned
 /// engine with epoch barriers, producing a report byte-identical to the
 /// serial path.
 int replayStreamParallel(const std::string &StreamPath,
                          const ToolOptions &ToolOpts, unsigned Workers) {
   TraceStreamReader Reader;
-  if (!Reader.open(StreamPath)) {
-    std::fprintf(stderr, "isprof: cannot read stream %s: %s\n",
-                 StreamPath.c_str(), Reader.error().c_str());
-    return 1;
-  }
   SymbolTable Symbols;
-  for (const auto &[Id, Name] : Reader.routines())
-    Symbols.intern(Name);
+  if (!openStream(StreamPath, Reader, Symbols))
+    return 1;
 
   TrmsProfilerOptions ProfOpts;
   ProfOpts.ShadowShards = ToolOpts.ShadowShards;
@@ -562,40 +564,25 @@ int replayStreamParallel(const std::string &StreamPath,
 
   ParallelReplayOptions ReplayOpts;
   ReplayOpts.Workers = Workers;
-  uint64_t Replayed = 0;
-  bool Ok = parallelReplayStream(Reader, Profiler, &Symbols, ReplayOpts,
-                                 /*StatsOut=*/nullptr, &Replayed);
-  if (!Ok) {
-    std::fprintf(stderr, "isprof: stream %s: chunk %zu: %s\n",
-                 StreamPath.c_str(),
-                 Reader.cursor() == 0 ? size_t(0) : Reader.cursor() - 1,
+  if (!parallelReplayStream(Reader, Profiler, &Symbols, ReplayOpts)) {
+    std::fprintf(stderr, "isprof: stream %s: %s\n", StreamPath.c_str(),
                  Reader.error().c_str());
     return 1;
   }
   std::printf("[replayed %s events from %zu chunk(s)]\n\n",
-              formatWithCommas(Replayed).c_str(), Reader.chunkCount());
+              formatWithCommas(Reader.eventCount()).c_str(),
+              Reader.chunkCount());
   std::printf("--- %s ---\n%s\n", Profiler.name().c_str(),
               renderToolReport(Profiler, &Symbols).c_str());
   return 0;
 }
 
 int commandReplay(OptionParser &Options) {
-  // --replay-stream names a chunked stream explicitly; a positional
-  // trace that carries the stream magic is streamed too, so `isprof
-  // replay file` works for either format.
-  std::string StreamPath = Options.getString("replay-stream");
-  std::string TracePath;
-  if (StreamPath.empty()) {
-    if (Options.positional().size() < 2) {
-      std::fprintf(stderr, "isprof replay: missing trace file\n");
-      return 2;
-    }
-    TracePath = Options.positional()[1];
-    if (isTraceStreamFile(TracePath)) {
-      StreamPath = TracePath;
-      TracePath.clear();
-    }
+  if (Options.positional().size() < 2) {
+    std::fprintf(stderr, "isprof replay: missing stream file\n");
+    return 2;
   }
+  const std::string &StreamPath = Options.positional()[1];
 
   ToolOptions ToolOpts;
   if (!parseShadowShards(Options, &ToolOpts))
@@ -607,17 +594,15 @@ int commandReplay(OptionParser &Options) {
   if (!parseParallelTools(Options, &ParallelWorkers))
     return 2;
   // Parallel replay partitions the trms shadow state itself, so it
-  // applies only to chunked streams with exactly the aprof-trms tool
-  // and no tool-level fan-out. An explicit incompatible request is an
-  // error; the environment fallback silently stays serial.
-  bool ParallelEligible = !StreamPath.empty() &&
-                          Options.getString("tools") == "aprof-trms" &&
-                          ParallelWorkers < 0;
+  // applies only with exactly the aprof-trms tool and no tool-level
+  // fan-out. An explicit incompatible request is an error; the
+  // environment fallback silently stays serial.
+  bool ParallelEligible =
+      Options.getString("tools") == "aprof-trms" && ParallelWorkers < 0;
   if (ReplayReq.Workers > 0 && ReplayReq.Explicit && !ParallelEligible) {
     std::fprintf(stderr,
-                 "isprof: --replay-workers requires a chunked stream "
-                 "(--replay-stream or a stream-format trace), "
-                 "--tools=aprof-trms, and no --parallel-tools\n");
+                 "isprof: --replay-workers requires --tools=aprof-trms "
+                 "and no --parallel-tools\n");
     return 2;
   }
   if (ReplayReq.Workers > 0 && ParallelEligible)
@@ -633,60 +618,23 @@ int commandReplay(OptionParser &Options) {
   if (!applyBatchCapacity(Options, Dispatcher))
     return 2;
 
-  if (!StreamPath.empty()) {
-    // Bounded-memory replay: pull one chunk at a time into a reused
-    // buffer and enqueue through the batching hot path.
-    TraceStreamReader Reader;
-    if (!Reader.open(StreamPath)) {
-      std::fprintf(stderr, "isprof: cannot read stream %s: %s\n",
-                   StreamPath.c_str(), Reader.error().c_str());
-      return 1;
-    }
-    SymbolTable Symbols;
-    for (const auto &[Id, Name] : Reader.routines())
-      Symbols.intern(Name);
-    Dispatcher.start(&Symbols);
-    std::vector<Event> Chunk;
-    uint64_t Replayed = 0;
-    size_t ErrorChunk = 0;
-    while (true) {
-      ErrorChunk = Reader.cursor();
-      if (!Reader.nextChunk(Chunk))
-        break;
-      EventStreamView View(Chunk);
-      for (EventRecord E; View.next(E);) {
-        Dispatcher.enqueue(E);
-        ++Replayed;
-      }
-    }
-    bool ReadOk = Reader.error().empty();
-    Dispatcher.finish();
-    if (!ReadOk) {
-      std::fprintf(stderr, "isprof: stream %s: chunk %zu: %s\n",
-                   StreamPath.c_str(), ErrorChunk, Reader.error().c_str());
-      return 1;
-    }
-    std::printf("[replayed %s events from %zu chunk(s)]\n\n",
-                formatWithCommas(Replayed).c_str(), Reader.chunkCount());
-    Tools.printReports(&Symbols);
-    return 0;
-  }
-
-  TraceData Data;
-  if (!readTraceFile(TracePath, Data)) {
-    std::fprintf(stderr, "isprof: cannot read trace %s\n",
-                 TracePath.c_str());
+  // Bounded-memory replay: one chunk at a time through the batching
+  // hot path.
+  TraceStreamReader Reader;
+  SymbolTable Symbols;
+  if (!openStream(StreamPath, Reader, Symbols))
+    return 1;
+  Dispatcher.start(&Symbols);
+  bool ReadOk = replayTraceStream(Reader, Dispatcher);
+  Dispatcher.finish();
+  if (!ReadOk) {
+    std::fprintf(stderr, "isprof: stream %s: %s\n", StreamPath.c_str(),
+                 Reader.error().c_str());
     return 1;
   }
-  SymbolTable Symbols;
-  for (const auto &[Id, Name] : Data.Routines)
-    Symbols.intern(Name);
-  Dispatcher.start(&Symbols);
-  for (const EventRecord &E : Data.Events)
-    Dispatcher.dispatch(E);
-  Dispatcher.finish();
-
-  std::printf("[replayed %zu events]\n\n", Data.Events.size());
+  std::printf("[replayed %s events from %zu chunk(s)]\n\n",
+              formatWithCommas(Reader.eventCount()).c_str(),
+              Reader.chunkCount());
   Tools.printReports(&Symbols);
   return 0;
 }
@@ -828,18 +776,19 @@ int commandWorkload(OptionParser &Options) {
   return 0;
 }
 
-/// Replays \p Path under aprof-trms; returns false on failure.
-bool profileTraceFile(const std::string &Path, ProfileDatabase &DbOut,
-                      SymbolTable &SymbolsOut) {
-  TraceData Data;
-  if (!readTraceFile(Path, Data)) {
-    std::fprintf(stderr, "isprof: cannot read trace %s\n", Path.c_str());
+/// Replays the stream at \p Path under aprof-trms; returns false on
+/// failure.
+bool profileStream(const std::string &Path, ProfileDatabase &DbOut,
+                   SymbolTable &SymbolsOut) {
+  TraceStreamReader Reader;
+  if (!openStream(Path, Reader, SymbolsOut))
+    return false;
+  TrmsProfiler Profiler;
+  if (!replayTraceStream(Reader, Profiler, &SymbolsOut)) {
+    std::fprintf(stderr, "isprof: stream %s: %s\n", Path.c_str(),
+                 Reader.error().c_str());
     return false;
   }
-  for (const auto &[Id, Name] : Data.Routines)
-    SymbolsOut.intern(Name);
-  TrmsProfiler Profiler;
-  replayTrace(Data.Events, Profiler, &SymbolsOut);
   DbOut = Profiler.takeDatabase();
   return true;
 }
@@ -847,13 +796,13 @@ bool profileTraceFile(const std::string &Path, ProfileDatabase &DbOut,
 int commandDiff(OptionParser &Options) {
   if (Options.positional().size() < 3) {
     std::fprintf(stderr,
-                 "isprof diff: need a baseline and a candidate trace\n");
+                 "isprof diff: need a baseline and a candidate stream\n");
     return 2;
   }
   ProfileDatabase BaseDb, CandDb;
   SymbolTable BaseSyms, CandSyms;
-  if (!profileTraceFile(Options.positional()[1], BaseDb, BaseSyms) ||
-      !profileTraceFile(Options.positional()[2], CandDb, CandSyms))
+  if (!profileStream(Options.positional()[1], BaseDb, BaseSyms) ||
+      !profileStream(Options.positional()[2], CandDb, CandSyms))
     return 1;
   std::vector<RoutineDiff> Diffs =
       diffProfiles(BaseDb, BaseSyms, CandDb, CandSyms);
@@ -881,13 +830,20 @@ bool expandCollectInput(const std::string &Input,
 }
 
 /// Echoes every ingestion error recorded since index \p From in the
-/// replay diagnostic format (file, failing chunk, reader message).
+/// replay diagnostic format (file, then the reader's message, which
+/// names the failing chunk).
 void reportIngestErrors(const collect::Collector &C, size_t From) {
   const std::vector<collect::StreamIngestError> &Errs = C.errors();
   for (size_t I = From; I != Errs.size(); ++I)
-    std::fprintf(stderr, "isprof: stream %s: chunk %zu: %s\n",
-                 Errs[I].File.c_str(), Errs[I].Chunk,
+    std::fprintf(stderr, "isprof: stream %s: %s\n", Errs[I].File.c_str(),
                  Errs[I].Message.c_str());
+}
+
+/// Warns about each stream from \p From on that \p C merged as a prefix.
+void reportIncompleteStreams(const collect::Collector &C, size_t From) {
+  const std::vector<collect::IncompleteStream> &Cut = C.incomplete();
+  for (size_t I = From; I != Cut.size(); ++I)
+    warnIncomplete(Cut[I].File, Cut[I].Chunks);
 }
 
 /// Decodes the collect-specific numeric options. Returns false (after a
@@ -941,9 +897,10 @@ int collectDiff(OptionParser &Options, const collect::CollectorOptions &Opts) {
     collect::Collector C(Opts, Stores[Side]);
     C.ingestFiles(Files);
     reportIngestErrors(C, 0);
-    if (C.totals().StreamsFailed > 0)
+    reportIncompleteStreams(C, 0);
+    if (C.totals().StreamsCorrupt > 0)
       return 1;
-    if (C.totals().Streams == 0) {
+    if (C.totals().Streams + C.totals().StreamsIncomplete == 0) {
       std::fprintf(stderr, "isprof: no streams ingested from %s\n",
                    Options.positional()[1 + Side].c_str());
       return 1;
@@ -976,16 +933,24 @@ int commandCollect(OptionParser &Options) {
 
   collect::FleetStore Store;
   collect::Collector C(Opts, Store);
+  // Streams ingested or found corrupt; an incomplete stream stays out,
+  // so a watch tick retries it until its writer finishes.
   std::set<std::string> Seen;
   for (;;) {
+    // Watch mode keeps polling the spool until a stop file appears; a
+    // single pass otherwise. The last pass ingests incomplete streams
+    // as their complete chunks instead of deferring them.
+    std::error_code Ec;
+    bool LastPass = Spool.empty() || WatchMs == 0 ||
+                    std::filesystem::exists(Spool + "/collector.stop", Ec);
     std::vector<std::string> Batch;
     for (const std::string &File : Explicit)
-      if (Seen.insert(File).second)
+      if (!Seen.count(File))
         Batch.push_back(File);
     if (!Spool.empty()) {
       std::string Error;
       for (const std::string &File : collect::scanSpoolDir(Spool, &Error))
-        if (Seen.insert(File).second)
+        if (!Seen.count(File))
           Batch.push_back(File);
       if (!Error.empty()) {
         std::fprintf(stderr, "isprof: %s\n", Error.c_str());
@@ -993,24 +958,28 @@ int commandCollect(OptionParser &Options) {
       }
     }
     size_t ErrorsBefore = C.errors().size();
+    size_t IncompleteBefore = C.incomplete().size();
+    std::vector<std::string> Deferred;
     if (!Batch.empty())
-      C.ingestFiles(Batch);
+      C.ingestFiles(Batch, LastPass ? nullptr : &Deferred);
     reportIngestErrors(C, ErrorsBefore);
-    // Watch mode keeps polling the spool until a stop file appears; a
-    // single pass otherwise.
-    if (Spool.empty() || WatchMs == 0)
-      break;
-    std::error_code Ec;
-    if (std::filesystem::exists(Spool + "/collector.stop", Ec))
+    reportIncompleteStreams(C, IncompleteBefore);
+    std::set<std::string> Retry(Deferred.begin(), Deferred.end());
+    for (const std::string &File : Batch)
+      if (!Retry.count(File))
+        Seen.insert(File);
+    if (LastPass)
       break;
     std::this_thread::sleep_for(std::chrono::milliseconds(WatchMs));
   }
 
   const collect::CollectorTotals &T = C.totals();
-  std::printf("[collector: %s stream(s) ingested, %s failed, %s chunks "
-              "read, %s skipped, %s events, merge %s]\n\n",
+  std::printf("[collector: %s stream(s) ingested, %s incomplete, %s "
+              "corrupt, %s chunks read, %s skipped, %s events, merge "
+              "%s]\n\n",
               formatWithCommas(T.Streams).c_str(),
-              formatWithCommas(T.StreamsFailed).c_str(),
+              formatWithCommas(T.StreamsIncomplete).c_str(),
+              formatWithCommas(T.StreamsCorrupt).c_str(),
               formatWithCommas(T.ChunksRead).c_str(),
               formatWithCommas(T.ChunksSkipped).c_str(),
               formatWithCommas(T.Events).c_str(),
@@ -1047,7 +1016,7 @@ int commandCollect(OptionParser &Options) {
   std::string Curve = Options.getString("curve");
   if (!Curve.empty())
     std::printf("\n%s", Store.renderCurve(Curve).c_str());
-  return T.StreamsFailed > 0 ? 1 : 0;
+  return T.StreamsCorrupt > 0 ? 1 : 0;
 }
 
 int commandList() {
@@ -1091,7 +1060,6 @@ int main(int Argc, char **Argv) {
                   "deliver event batches to tools from worker threads; "
                   "--parallel-tools=N picks the worker count (default: "
                   "auto). Reports are identical to serial delivery");
-  Options.addOption("record", "", "record the event trace to this path");
   Options.addOption("record-stream", "",
                     "stream the event trace to this path as a chunked "
                     "file while the guest runs (bounded memory)");
@@ -1099,9 +1067,6 @@ int main(int Argc, char **Argv) {
                     "(replay) partition stream replay across N shadow-"
                     "shard workers (streams + --tools=aprof-trms only; "
                     "0 = serial)");
-  Options.addOption("replay-stream", "",
-                    "(replay) replay this chunked stream file chunk by "
-                    "chunk (bounded memory)");
   Options.addOption("shadow-shards", "1",
                     "shard the aprof-trms global wts shadow by address "
                     "range (power of two; 1 = unsharded). aprof-rms "

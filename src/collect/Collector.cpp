@@ -33,7 +33,8 @@ std::string fileName(const std::string &Path) {
 
 } // namespace
 
-bool Collector::ingestOne(const std::string &Path) {
+void Collector::ingestOne(const std::string &Path,
+                          std::vector<std::string> *Deferred) {
   obs::LaneId Lane = obs::tracingEnabled()
                          ? obs::TraceLog::get().allocLane(
                                "stream: " + fileName(Path))
@@ -41,170 +42,172 @@ bool Collector::ingestOne(const std::string &Path) {
   obs::ScopedSpan Span(Lane, "ingest " + fileName(Path), "collector");
 
   TraceStreamReader Reader;
-  uint64_t LocalRead = 0, LocalSkipped = 0, LocalEvents = 0;
-  size_t ErrChunk = 0;
-  bool Ok = Reader.open(Path);
-  if (Ok) {
-    SymbolTable Symbols;
+  if (!Reader.open(Path)) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Totals.StreamsCorrupt += 1;
+    Errors.push_back({Path, Reader.errorChunk(), Reader.error()});
+    return;
+  }
+  if (!Reader.complete() && Deferred) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Deferred->push_back(Path);
+    return;
+  }
+  SymbolTable Symbols;
+  for (const auto &[Id, Name] : Reader.routines())
+    Symbols.intern(Name);
+
+  // Advisory chunk filter: OR of the filtered routines' mask bits in
+  // this stream's id space. Zero with a non-empty filter means no
+  // filtered routine exists here at all — every chunk is skippable.
+  bool UseFilter = !Opts.RoutineFilter.empty();
+  uint64_t FilterMask = 0;
+  std::set<uint64_t> MatchedIds;
+  if (UseFilter)
     for (const auto &[Id, Name] : Reader.routines())
-      Symbols.intern(Name);
-
-    // Advisory chunk filter: OR of the filtered routines' mask bits in
-    // this stream's id space. Zero with a non-empty filter means no
-    // filtered routine exists here at all — every chunk is skippable.
-    bool UseFilter = !Opts.RoutineFilter.empty();
-    uint64_t FilterMask = 0;
-    std::set<uint64_t> MatchedIds;
-    if (UseFilter)
-      for (const auto &[Id, Name] : Reader.routines())
-        if (std::find(Opts.RoutineFilter.begin(), Opts.RoutineFilter.end(),
-                      Name) != Opts.RoutineFilter.end()) {
-          FilterMask |= uint64_t(1) << (Id & 63);
-          MatchedIds.insert(Id);
-        }
-
-    TrmsProfilerOptions ProfOpts;
-    ProfOpts.KeepActivationLog = true;
-    TrmsProfiler Profiler(ProfOpts);
-    EventDispatcher Dispatcher;
-    Dispatcher.addTool(&Profiler);
-    Dispatcher.start(&Symbols);
-
-    // A chunk may be skipped only when (a) its routine mask proves no
-    // filtered routine is called in it and (b) no filtered activation
-    // is in flight — everything between a filtered Call and its Return
-    // must replay for exact rms/cost, and filtered Calls always set
-    // their own mask bit, so (a) alone guarantees none is lost.
-    //
-    // (c) closes the trms undercount: a chunk passing (a) and (b) may
-    // still *write* a cell that a later filtered activation reads for
-    // the first time — dropping the write loses the shadow-timestamp
-    // history that makes that read an induced first-access. On v3
-    // streams each chunk carries a written-shard mask, and SuffixTargets
-    // below holds, per chunk, the union of the shard-activity masks of
-    // every *later* chunk containing a filtered Call (a backward suffix
-    // pass over the index). A chunk whose written shards miss every
-    // such target shard cannot feed any retained activation's trms, so
-    // skipping it is exact up to one residual corner: an activation's
-    // continuation chunks (after its Call chunk, mask-invisible) may
-    // read shards no matching chunk touches; those reads can still
-    // undercount. Pre-v3 streams carry no written masks and keep the
-    // legacy skip rule (a)+(b) with its documented approximation.
-    //
-    // Skipping tears holes in the call stack: a skipped chunk may open
-    // frames whose Returns land in decoded chunks. The per-thread
-    // shadow stack below tracks only the calls actually forwarded; a
-    // Return that does not match the forwarded top must close a frame
-    // opened in a skipped chunk (traces are well-nested per thread, and
-    // no frame opened in a skipped chunk can close inside a filtered
-    // activation, since its Call would have to nest within it — it
-    // would enclose the activation instead). Dropping such Returns
-    // keeps the profiler's stack exactly the forwarded calls, so the
-    // mismatched-nesting assert can never fire and filtered records
-    // stay exact: cost is a within-activation basic-block delta and rms
-    // counts only accesses inside the activation window, which is
-    // always fully decoded.
-    bool WriteAware = UseFilter && Reader.hasWrittenMasks();
-    std::vector<ShardActivityMask> SuffixTargets;
-    if (WriteAware) {
-      size_t N = Reader.chunkCount();
-      SuffixTargets.resize(N);
-      ShardActivityMask Acc = {};
-      for (size_t C = N; C-- > 0;) {
-        SuffixTargets[C] = Acc;
-        if ((Reader.chunkRoutineMask(C) & FilterMask) != 0) {
-          const ShardActivityMask &S = Reader.chunkShardMask(C);
-          for (size_t W = 0; W != Acc.size(); ++W)
-            Acc[W] |= S[W];
-        }
+      if (std::find(Opts.RoutineFilter.begin(), Opts.RoutineFilter.end(),
+                    Name) != Opts.RoutineFilter.end()) {
+        FilterMask |= uint64_t(1) << (Id & 63);
+        MatchedIds.insert(Id);
       }
-    }
-    auto WritesNothingRetained = [&](size_t C) {
-      if (!WriteAware)
-        return true; // pre-v3: legacy rule, documented approximation
-      const ShardActivityMask &W = Reader.chunkWrittenMask(C);
-      const ShardActivityMask &T = SuffixTargets[C];
-      for (size_t I = 0; I != W.size(); ++I)
-        if ((W[I] & T[I]) != 0)
-          return false;
-      return true;
-    };
 
-    uint64_t InFlight = 0;
-    std::vector<std::vector<uint64_t>> Stacks;
-    std::vector<Event> Chunk;
-    while (true) {
-      ErrChunk = Reader.cursor();
-      if (UseFilter && Reader.hasActivityMasks() && InFlight == 0 &&
-          ErrChunk < Reader.chunkCount() &&
-          (Reader.chunkRoutineMask(ErrChunk) & FilterMask) == 0 &&
-          WritesNothingRetained(ErrChunk)) {
-        Reader.seek(ErrChunk + 1);
-        LocalSkipped += 1;
-        continue;
-      }
-      if (!Reader.nextChunk(Chunk))
-        break;
-      LocalRead += 1;
-      LocalEvents += Reader.chunkEvents(ErrChunk);
-      EventStreamView View(Chunk);
-      if (!UseFilter) {
-        for (EventRecord E; View.next(E);)
-          Dispatcher.enqueue(E);
-        continue;
-      }
-      for (EventRecord E; View.next(E);) {
-        if (E.Kind == EventKind::Call) {
-          if (E.Tid >= Stacks.size())
-            Stacks.resize(static_cast<size_t>(E.Tid) + 1);
-          Stacks[E.Tid].push_back(E.Arg0);
-          if (MatchedIds.count(E.Arg0))
-            InFlight += 1;
-        } else if (E.Kind == EventKind::Return) {
-          std::vector<uint64_t> *S =
-              E.Tid < Stacks.size() ? &Stacks[E.Tid] : nullptr;
-          if (!S || S->empty() || S->back() != E.Arg0)
-            continue; // closes a frame opened in a skipped chunk
-          S->pop_back();
-          if (MatchedIds.count(E.Arg0) && InFlight > 0)
-            InFlight -= 1;
-        }
-        Dispatcher.enqueue(E);
-      }
-    }
-    Ok = Reader.error().empty();
-    // finish() runs even on error so the dispatcher drains cleanly; the
-    // partial database is simply never merged.
-    Dispatcher.finish();
+  TrmsProfilerOptions ProfOpts;
+  ProfOpts.KeepActivationLog = true;
+  TrmsProfiler Profiler(ProfOpts);
+  EventDispatcher Dispatcher;
+  Dispatcher.addTool(&Profiler);
+  Dispatcher.start(&Symbols);
 
-    if (Ok) {
-      std::set<std::string> Only(Opts.RoutineFilter.begin(),
-                                 Opts.RoutineFilter.end());
-      std::string Label =
-          Opts.ProgramLabel.empty() ? fileLabel(Path) : Opts.ProgramLabel;
-      std::lock_guard<std::mutex> Lock(Mutex);
-      uint64_t MergeStart = obs::nowNs();
-      Store.mergeDatabase(Label, Profiler.database(), Symbols,
-                          Only.empty() ? nullptr : &Only);
-      Totals.MergeNs += obs::nowNs() - MergeStart;
-      Totals.Streams += 1;
-      Totals.ChunksRead += LocalRead;
-      Totals.ChunksSkipped += LocalSkipped;
-      Totals.Events += LocalEvents;
-      return true;
+  // A chunk may be skipped only when (a) its routine mask proves no
+  // filtered routine is called in it and (b) no filtered activation
+  // is in flight — everything between a filtered Call and its Return
+  // must replay for exact rms/cost, and filtered Calls always set
+  // their own mask bit, so (a) alone guarantees none is lost.
+  //
+  // (c) keeps trms exact: a chunk passing (a) and (b) may still *write*
+  // a cell that a later filtered activation reads for the first time —
+  // dropping the write loses the shadow-timestamp history that makes
+  // that read an induced first-access. SuffixTargets holds, per chunk,
+  // the union of the shard-activity masks of every *later* chunk
+  // containing a filtered Call (a backward suffix pass over the chunk
+  // headers). A chunk whose written shards miss every such target
+  // shard cannot feed any retained activation's trms, so skipping it
+  // is exact up to one residual corner: an activation's continuation
+  // chunks (after its Call chunk, mask-invisible) may read shards no
+  // matching chunk touches; those reads can still undercount.
+  //
+  // Skipping tears holes in the call stack: a skipped chunk may open
+  // frames whose Returns land in decoded chunks. The per-thread
+  // shadow stack below tracks only the calls actually forwarded; a
+  // Return that does not match the forwarded top must close a frame
+  // opened in a skipped chunk (traces are well-nested per thread, and
+  // no frame opened in a skipped chunk can close inside a filtered
+  // activation, since its Call would have to nest within it — it
+  // would enclose the activation instead). Dropping such Returns
+  // keeps the profiler's stack exactly the forwarded calls, so the
+  // mismatched-nesting assert can never fire and filtered records
+  // stay exact: cost is a within-activation basic-block delta and rms
+  // counts only accesses inside the activation window, which is
+  // always fully decoded.
+  std::vector<ShardActivityMask> SuffixTargets;
+  if (UseFilter) {
+    size_t N = Reader.chunkCount();
+    SuffixTargets.resize(N);
+    ShardActivityMask Acc = {};
+    for (size_t C = N; C-- > 0;) {
+      SuffixTargets[C] = Acc;
+      if ((Reader.chunkRoutineMask(C) & FilterMask) != 0) {
+        const ShardActivityMask &S = Reader.chunkShardMask(C);
+        for (size_t W = 0; W != Acc.size(); ++W)
+          Acc[W] |= S[W];
+      }
     }
   }
+  auto Skippable = [&](size_t C) {
+    if ((Reader.chunkRoutineMask(C) & FilterMask) != 0)
+      return false;
+    const ShardActivityMask &W = Reader.chunkWrittenMask(C);
+    const ShardActivityMask &T = SuffixTargets[C];
+    for (size_t I = 0; I != W.size(); ++I)
+      if ((W[I] & T[I]) != 0)
+        return false;
+    return true;
+  };
+
+  uint64_t LocalRead = 0, LocalSkipped = 0, LocalEvents = 0;
+  uint64_t InFlight = 0;
+  std::vector<std::vector<uint64_t>> Stacks;
+  std::vector<Event> Chunk;
+  while (true) {
+    size_t C = Reader.cursor();
+    if (UseFilter && InFlight == 0 && C < Reader.chunkCount() &&
+        Skippable(C)) {
+      Reader.seek(C + 1);
+      LocalSkipped += 1;
+      continue;
+    }
+    if (!Reader.nextChunk(Chunk))
+      break;
+    LocalRead += 1;
+    LocalEvents += Reader.chunkEvents(C);
+    EventStreamView View(Chunk);
+    if (!UseFilter) {
+      for (EventRecord E; View.next(E);)
+        Dispatcher.enqueue(E);
+      continue;
+    }
+    for (EventRecord E; View.next(E);) {
+      if (E.Kind == EventKind::Call) {
+        if (E.Tid >= Stacks.size())
+          Stacks.resize(static_cast<size_t>(E.Tid) + 1);
+        Stacks[E.Tid].push_back(E.Arg0);
+        if (MatchedIds.count(E.Arg0))
+          InFlight += 1;
+      } else if (E.Kind == EventKind::Return) {
+        std::vector<uint64_t> *S =
+            E.Tid < Stacks.size() ? &Stacks[E.Tid] : nullptr;
+        if (!S || S->empty() || S->back() != E.Arg0)
+          continue; // closes a frame opened in a skipped chunk
+        S->pop_back();
+        if (MatchedIds.count(E.Arg0) && InFlight > 0)
+          InFlight -= 1;
+      }
+      Dispatcher.enqueue(E);
+    }
+  }
+  bool Ok = Reader.error().empty();
+  // finish() runs even on error so the dispatcher drains cleanly; the
+  // partial database is simply never merged. On an incomplete stream
+  // it closes the activations still open at the recovered end.
+  Dispatcher.finish();
 
   std::lock_guard<std::mutex> Lock(Mutex);
-  Totals.StreamsFailed += 1;
   Totals.ChunksRead += LocalRead;
   Totals.ChunksSkipped += LocalSkipped;
   Totals.Events += LocalEvents;
-  Errors.push_back({Path, ErrChunk, Reader.error()});
-  return false;
+  if (!Ok) {
+    Totals.StreamsCorrupt += 1;
+    Errors.push_back({Path, Reader.errorChunk(), Reader.error()});
+    return;
+  }
+  std::set<std::string> Only(Opts.RoutineFilter.begin(),
+                             Opts.RoutineFilter.end());
+  std::string Label =
+      Opts.ProgramLabel.empty() ? fileLabel(Path) : Opts.ProgramLabel;
+  uint64_t MergeStart = obs::nowNs();
+  Store.mergeDatabase(Label, Profiler.database(), Symbols,
+                      Only.empty() ? nullptr : &Only);
+  Totals.MergeNs += obs::nowNs() - MergeStart;
+  if (Reader.complete()) {
+    Totals.Streams += 1;
+  } else {
+    Totals.StreamsIncomplete += 1;
+    Incomplete.push_back({Path, Reader.chunkCount()});
+  }
 }
 
-size_t Collector::ingestFiles(const std::vector<std::string> &Files) {
+size_t Collector::ingestFiles(const std::vector<std::string> &Files,
+                              std::vector<std::string> *Deferred) {
   CollectorTotals Before = Totals;
   uint64_t Start = obs::nowNs();
 
@@ -221,16 +224,16 @@ size_t Collector::ingestFiles(const std::vector<std::string> &Files) {
 
   if (Workers <= 1 || Files.size() <= 1) {
     for (const std::string &Path : Files)
-      ingestOne(Path);
+      ingestOne(Path, Deferred);
   } else {
     std::atomic<size_t> Next{0};
     std::vector<std::thread> Pool;
     Pool.reserve(Workers);
     for (unsigned W = 0; W != Workers; ++W)
-      Pool.emplace_back([this, &Files, &Next] {
+      Pool.emplace_back([this, &Files, &Next, Deferred] {
         for (size_t I = Next.fetch_add(1); I < Files.size();
              I = Next.fetch_add(1))
-          ingestOne(Files[I]);
+          ingestOne(Files[I], Deferred);
       });
     for (std::thread &T : Pool)
       T.join();
@@ -240,10 +243,10 @@ size_t Collector::ingestFiles(const std::vector<std::string> &Files) {
   if (obs::statsEnabled()) {
     obs::Registry &R = obs::Registry::get();
     R.counter("collector.streams").add(Totals.Streams - Before.Streams);
-    R.counter("collector.streams_failed")
-        .add(Totals.StreamsFailed - Before.StreamsFailed);
-    R.counter("collector.decode_errors")
-        .add(Totals.StreamsFailed - Before.StreamsFailed);
+    R.counter("collector.streams_incomplete")
+        .add(Totals.StreamsIncomplete - Before.StreamsIncomplete);
+    R.counter("collector.streams_corrupt")
+        .add(Totals.StreamsCorrupt - Before.StreamsCorrupt);
     R.counter("collector.chunks_read")
         .add(Totals.ChunksRead - Before.ChunksRead);
     R.counter("collector.chunks_skipped")
@@ -254,7 +257,9 @@ size_t Collector::ingestFiles(const std::vector<std::string> &Files) {
     R.gauge("collector.workers").set(Workers);
     R.gauge("collector.store_routines").set(Store.routineCount());
   }
-  return static_cast<size_t>(Totals.Streams - Before.Streams);
+  return static_cast<size_t>(Totals.Streams - Before.Streams +
+                             Totals.StreamsIncomplete -
+                             Before.StreamsIncomplete);
 }
 
 std::vector<std::string> isp::collect::scanSpoolDir(const std::string &Dir,

@@ -192,12 +192,8 @@ void EventDispatcher::workerLoop(WorkerState &W) {
 
 void EventDispatcher::publishBatch(FlushCause Cause) {
   ++Flushes[static_cast<size_t>(Cause)];
-  if (Recording)
-    Recorded.insert(Recorded.end(), Pending.get(),
-                    Pending.get() + PendingWords);
-  // Record sinks consume the batch on the dispatch thread, before the
-  // worker handoff swaps the buffer away — the sink sees exactly the
-  // stream the in-memory recorder would.
+  // The record sink consumes the batch on the dispatch thread, before
+  // the worker handoff swaps the buffer away.
   if (Sink)
     Sink->recordBatch(Pending.get(), PendingWords);
   // DispatchThread tools keep the serial contract: synchronous delivery
@@ -316,8 +312,6 @@ void EventDispatcher::flushImpl(FlushCause Cause) {
     return;
   }
   ++Flushes[static_cast<size_t>(Cause)];
-  if (Recording)
-    Recorded.insert(Recorded.end(), Pending.get(), Pending.get() + PendingWords);
   if (ISP_UNLIKELY(Sink != nullptr))
     Sink->recordBatch(Pending.get(), PendingWords);
   // The observed path times each tool's callback (and records timeline

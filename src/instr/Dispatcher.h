@@ -6,7 +6,7 @@
 ///
 /// \file
 /// EventDispatcher fans substrate events out to any number of registered
-/// Tools (and optionally records them into a trace buffer); replayTrace
+/// Tools (and optionally a RecordSink that records them); replayTrace
 /// drives a Tool from a recorded trace. Together these decouple analyses
 /// from how the event stream was produced — live VM execution, a trace
 /// file, or a synthetic generator.
@@ -131,13 +131,11 @@ public:
   enum class FlushCause : uint8_t { Capacity, Explicit, Finish };
   static constexpr size_t NumFlushCauses = 3;
 
-  /// Consumer of recorded batches, for sinks that stream the compacted
-  /// event stream somewhere (e.g. TraceStreamWriter writing chunked
-  /// trace files) instead of accumulating it in the Recorded vector.
-  /// Batches arrive on the dispatch thread, in delivery order, as
-  /// packed word runs that decode standalone (fresh decoder per batch),
-  /// exactly as the in-memory recorder would append them — so a sink
-  /// observes a byte-identical stream.
+  /// Consumer of recorded batches: the one recording path. A sink
+  /// receives the compacted event stream (e.g. TraceStreamWriter writes
+  /// it to a stream file). Batches arrive on the dispatch thread, in
+  /// delivery order, as packed word runs that decode standalone (fresh
+  /// decoder per batch), so their concatenation is the recorded stream.
   class RecordSink {
   public:
     virtual ~RecordSink() = default;
@@ -149,9 +147,8 @@ public:
   /// Registers \p T; tools receive events in registration order.
   void addTool(Tool *T) { Tools.push_back(T); }
 
-  /// Streams every recorded batch to \p S instead of (or alongside) the
-  /// in-memory Recorded vector. Pass nullptr to detach. The sink is not
-  /// owned and must outlive the run.
+  /// Streams every delivered batch to \p S. Pass nullptr to detach. The
+  /// sink is not owned and must outlive the run.
   void setRecordSink(RecordSink *S) { Sink = S; }
 
   /// Resizes the pending batch. \p N must be a power of two in
@@ -197,11 +194,6 @@ public:
   size_t ringSlots() const { return RingSlotsUsed; }
   /// Times the ring doubled under repeated backpressure.
   uint64_t ringGrowths() const { return RingGrowths; }
-
-  /// Enables recording of every dispatched event. The recorded stream is
-  /// the *compacted* stream — replaying it is equivalent by
-  /// construction.
-  void enableRecording() { Recording = true; }
 
   /// Signals the start of a run. Forwards to Tool::onStart.
   void start(const SymbolTable *Symbols);
@@ -275,7 +267,7 @@ public:
       flushImpl(FlushCause::Capacity);
   }
 
-  /// Delivers the pending batch to every tool (and the recording buffer)
+  /// Delivers the pending batch to every tool (and the record sink)
   /// and empties it.
   void flush() { flushImpl(FlushCause::Explicit); }
 
@@ -294,9 +286,9 @@ public:
     flushImpl(FlushCause::Explicit);
   }
 
-  /// True when at least one tool is registered or recording is on; the VM
+  /// True when at least one tool or a record sink is attached; the VM
   /// skips event construction entirely otherwise ("native" runs).
-  bool isActive() const { return Recording || Sink != nullptr || !Tools.empty(); }
+  bool isActive() const { return Sink != nullptr || !Tools.empty(); }
 
   /// Events accepted by enqueue()/dispatch() — i.e. what the substrate
   /// emitted, before compaction.
@@ -320,23 +312,6 @@ public:
   }
   uint64_t totalFlushes() const {
     return Flushes[0] + Flushes[1] + Flushes[2];
-  }
-
-  /// The recorded stream as packed words (what sinks and chunk files
-  /// hold). Decode with decodeEventStream / EventStreamView.
-  const std::vector<Event> &recordedEvents() const { return Recorded; }
-  /// Decoded copy of the recorded stream (convenience for consumers
-  /// that want wide records; the packed buffer stays intact).
-  std::vector<EventRecord> decodedRecordedEvents() const {
-    return decodeEventStream(Recorded);
-  }
-  /// Decodes and returns the recorded stream, releasing the packed
-  /// buffer.
-  std::vector<EventRecord> takeRecordedEvents() {
-    std::vector<EventRecord> Out = decodeEventStream(Recorded);
-    Recorded.clear();
-    Recorded.shrink_to_fit();
-    return Out;
   }
 
 private:
@@ -424,9 +399,7 @@ private:
   /// Word-level encoder time state; resets at every flush so each batch
   /// decodes standalone.
   EventEncoder Enc;
-  std::vector<Event> Recorded;
   RecordSink *Sink = nullptr;
-  bool Recording = false;
   BbRunState BbRun;
   uint64_t EnqueuedEvents = 0;
   uint64_t DeliveredEvents = 0;

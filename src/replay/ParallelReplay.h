@@ -73,7 +73,7 @@ struct ParallelReplayStats {
   /// Seals where the reader actually had to wait for a worker.
   uint64_t BarrierWaits = 0;
   uint64_t BarrierWaitNs = 0;
-  /// (chunk, worker) pairs skipped via the v2 shard-activity masks.
+  /// (chunk, worker) pairs skipped via the chunk shard-activity masks.
   uint64_t ChunksSkipped = 0;
   /// High-water mark of any worker queue's occupancy.
   uint64_t QueueDepthMax = 0;

@@ -11,38 +11,49 @@
 
 using namespace isp;
 
-static const char StreamMagicV1[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '1'};
-static const char StreamMagicV2[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '2'};
-static const char StreamMagicV3[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '3'};
-static const char TrailerMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', 'I', 'X'};
+static const char StreamMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '4'};
+static constexpr size_t MagicBytes = sizeof(StreamMagic);
 
-/// Bytes 0..6 shared by every version's magic ("ISPSTM0").
-static constexpr size_t MagicBytes = sizeof(StreamMagicV1);
+/// The largest chunk header: the u32 length, ten varints of at most ten
+/// bytes (event count, routine mask, 4 shard and 4 written mask words)
+/// and the u32 header CRC.
+static constexpr size_t MaxChunkHeaderBytes = 4 + 10 * 10 + 4;
 
-/// Decodes the version digit of an 8-byte magic; 0 when not a stream.
-static unsigned streamVersionOf(const char *Head) {
-  if (std::memcmp(Head, StreamMagicV1, MagicBytes - 1) != 0)
-    return 0;
-  if (Head[MagicBytes - 1] == '1')
-    return 1;
-  if (Head[MagicBytes - 1] == '2')
-    return 2;
-  if (Head[MagicBytes - 1] == '3')
-    return 3;
-  return 0;
-}
-
-static const char *streamMagicFor(unsigned Version) {
-  return Version == 1 ? StreamMagicV1
-                      : (Version == 2 ? StreamMagicV2 : StreamMagicV3);
-}
-
-/// Trailer: u64 footer offset + magic, always the last 16 file bytes.
-static constexpr size_t TrailerBytes = 8 + sizeof(TrailerMagic);
+/// The smallest encoded event: a kind byte and four one-byte varints.
+static constexpr uint64_t MinEventBytes = 5;
 
 namespace {
 
-/// Unsigned LEB128 append (the TraceFile.cpp v2 convention).
+//===----------------------------------------------------------------------===//
+// CRC32C, slicing by 8
+//===----------------------------------------------------------------------===//
+
+struct CrcTables {
+  uint32_t T[8][256];
+};
+
+constexpr CrcTables makeCrcTables() {
+  constexpr uint32_t Poly = 0x82f63b78; // Castagnoli, bit-reflected
+  CrcTables C{};
+  for (uint32_t I = 0; I != 256; ++I) {
+    uint32_t V = I;
+    for (int K = 0; K != 8; ++K)
+      V = (V >> 1) ^ (Poly & (0u - (V & 1)));
+    C.T[0][I] = V;
+  }
+  for (uint32_t I = 0; I != 256; ++I)
+    for (int S = 1; S != 8; ++S)
+      C.T[S][I] = (C.T[S - 1][I] >> 8) ^ C.T[0][C.T[S - 1][I] & 0xff];
+  return C;
+}
+
+constexpr CrcTables Crc = makeCrcTables();
+
+//===----------------------------------------------------------------------===//
+// Byte codecs
+//===----------------------------------------------------------------------===//
+
+/// Unsigned LEB128 append.
 void writeVarint(std::string &Out, uint64_t V) {
   while (V >= 0x80) {
     Out.push_back(static_cast<char>((V & 0x7f) | 0x80));
@@ -51,23 +62,27 @@ void writeVarint(std::string &Out, uint64_t V) {
   Out.push_back(static_cast<char>(V));
 }
 
-/// Unsigned LEB128 read; false on truncation or overlong encodings. A
-/// uint64 needs at most ten bytes, and the tenth may carry only bit 63:
-/// a continuation bit or payload bits 64+ there mean the value cannot
-/// fit, so the stream is rejected rather than silently wrapped.
-bool readVarint(const std::string &Bytes, size_t &Pos, uint64_t &V) {
+/// Why a parse stopped: the bytes ran out (a torn prefix, when the file
+/// ends there) or they are malformed.
+enum class Parse { Ok, Short, Bad };
+
+/// Unsigned LEB128 read. A uint64 needs at most ten bytes, and the
+/// tenth may carry only bit 63: a continuation bit or payload bits 64+
+/// there mean the value cannot fit, so it is Bad rather than silently
+/// wrapped.
+Parse readVarint(const char *Bytes, size_t Size, size_t &Pos, uint64_t &V) {
   V = 0;
   for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-    if (Pos >= Bytes.size())
-      return false;
+    if (Pos >= Size)
+      return Parse::Short;
     uint8_t Byte = static_cast<uint8_t>(Bytes[Pos++]);
     if (Shift == 63 && (Byte & 0xfe))
-      return false;
+      return Parse::Bad;
     V |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
     if (!(Byte & 0x80))
-      return true;
+      return Parse::Ok;
   }
-  return false;
+  return Parse::Bad;
 }
 
 uint64_t zigzag(int64_t V) {
@@ -82,26 +97,69 @@ void appendU32(std::string &Out, uint32_t V) {
     Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
 }
 
-void appendU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-uint32_t decodeU32(const unsigned char *P) {
+uint32_t decodeU32(const char *P) {
   uint32_t V = 0;
   for (int I = 0; I != 4; ++I)
-    V |= static_cast<uint32_t>(P[I]) << (8 * I);
+    V |= static_cast<uint32_t>(static_cast<unsigned char>(P[I])) << (8 * I);
   return V;
 }
 
-uint64_t decodeU64(const unsigned char *P) {
-  uint64_t V = 0;
-  for (int I = 0; I != 8; ++I)
-    V |= static_cast<uint64_t>(P[I]) << (8 * I);
-  return V;
+/// The fixed start of the stream header: magic, u32 routine-table
+/// length, u32 CRC32C of those twelve bytes.
+constexpr size_t PrologueBytes = MagicBytes + 4 + 4;
+
+/// Parses the \p Size-byte routine table at \p Bytes, whose checksum
+/// has already been verified.
+bool parseRoutineTable(const char *Bytes, size_t Size,
+                       std::vector<std::pair<RoutineId, std::string>> &Routines,
+                       std::string &Why) {
+  size_t Pos = 0;
+  uint64_t Count = 0;
+  if (readVarint(Bytes, Size, Pos, Count) != Parse::Ok) {
+    Why = "corrupt routine table: bad count";
+    return false;
+  }
+  // Each routine needs at least two bytes (id + length varints); reserve
+  // only what the table's bytes can back.
+  Routines.reserve(std::min<uint64_t>(Count, (Size - Pos) / 2));
+  for (uint64_t I = 0; I != Count; ++I) {
+    uint64_t Id = 0, Len = 0;
+    if (readVarint(Bytes, Size, Pos, Id) != Parse::Ok ||
+        readVarint(Bytes, Size, Pos, Len) != Parse::Ok || Size - Pos < Len) {
+      Why = "corrupt routine table: bad entry";
+      return false;
+    }
+    if (Id > UINT32_MAX) {
+      Why = "corrupt routine table: routine id out of range";
+      return false;
+    }
+    Routines.emplace_back(static_cast<RoutineId>(Id),
+                          std::string(Bytes + Pos, Len));
+    Pos += Len;
+  }
+  if (Pos != Size) {
+    Why = "corrupt routine table: trailing bytes";
+    return false;
+  }
+  return true;
 }
 
 } // namespace
+
+uint32_t isp::crc32c(const void *Data, size_t Size) {
+  const unsigned char *P = static_cast<const unsigned char *>(Data);
+  uint32_t C = ~0u;
+  for (; Size >= 8; P += 8, Size -= 8) {
+    uint32_t Lo = C ^ (uint32_t(P[0]) | uint32_t(P[1]) << 8 |
+                       uint32_t(P[2]) << 16 | uint32_t(P[3]) << 24);
+    C = Crc.T[7][Lo & 0xff] ^ Crc.T[6][(Lo >> 8) & 0xff] ^
+        Crc.T[5][(Lo >> 16) & 0xff] ^ Crc.T[4][Lo >> 24] ^
+        Crc.T[3][P[4]] ^ Crc.T[2][P[5]] ^ Crc.T[1][P[6]] ^ Crc.T[0][P[7]];
+  }
+  for (; Size != 0; ++P, --Size)
+    C = (C >> 8) ^ Crc.T[0][(C ^ *P) & 0xff];
+  return ~C;
+}
 
 //===----------------------------------------------------------------------===//
 // TraceStreamWriter
@@ -122,16 +180,16 @@ bool TraceStreamWriter::open(
     std::fclose(File);
   File = std::fopen(Path.c_str(), "wb");
   Options = Opts;
-  if (Options.ChunkBytes == 0)
-    Options.ChunkBytes = 1;
+  // The payload length is a u32; cap chunks well below it.
+  Options.ChunkBytes =
+      std::clamp<size_t>(Options.ChunkBytes, 1, size_t(1) << 30);
   Buffer.clear();
   Error.clear();
-  Chunks.clear();
   ChunkEvents = 0;
-  ChunkFirstTime = 0;
   LastTime = 0;
   std::memset(LastArg0, 0, sizeof(LastArg0));
   EventsWritten = 0;
+  ChunksWritten = 0;
   BytesWritten = 0;
   PeakBufferedBytes = 0;
   Failed = false;
@@ -143,21 +201,23 @@ bool TraceStreamWriter::open(
     Failed = true;
     return false;
   }
-  if (Options.FormatVersion < 1 || Options.FormatVersion > 3) {
-    Error = "unsupported trace stream format version";
+  std::string Table;
+  writeVarint(Table, Routines.size());
+  for (const auto &[Id, Name] : Routines) {
+    writeVarint(Table, Id);
+    writeVarint(Table, Name.size());
+    Table.append(Name);
+  }
+  if (Table.size() > UINT32_MAX) {
+    Error = "routine table too large for a trace stream";
     Failed = true;
-    std::fclose(File);
-    File = nullptr;
     return false;
   }
-  std::string Header;
-  Header.append(streamMagicFor(Options.FormatVersion), MagicBytes);
-  writeVarint(Header, Routines.size());
-  for (const auto &[Id, Name] : Routines) {
-    writeVarint(Header, Id);
-    writeVarint(Header, Name.size());
-    Header.append(Name);
-  }
+  std::string Header(StreamMagic, MagicBytes);
+  appendU32(Header, static_cast<uint32_t>(Table.size()));
+  appendU32(Header, crc32c(Header.data(), Header.size()));
+  Header += Table;
+  appendU32(Header, crc32c(Table.data(), Table.size()));
   writeRaw(Header.data(), Header.size());
   return !Failed;
 }
@@ -219,10 +279,7 @@ void TraceStreamWriter::noteActivity(const EventRecord &E) {
 void TraceStreamWriter::append(const EventRecord &E) {
   if (Failed || !File)
     return;
-  if (ChunkEvents == 0)
-    ChunkFirstTime = E.Time;
-  if (Options.FormatVersion >= 2)
-    noteActivity(E);
+  noteActivity(E);
   Buffer.push_back(static_cast<char>(E.Kind));
   writeVarint(Buffer, E.Tid);
   writeVarint(Buffer, E.Time - LastTime);
@@ -250,32 +307,33 @@ void TraceStreamWriter::recordBatch(const Event *Words, size_t Count) {
 void TraceStreamWriter::sealChunk() {
   if (ChunkEvents == 0)
     return;
-  ChunkMeta Meta;
-  Meta.Offset = BytesWritten;
-  Meta.Events = ChunkEvents;
-  Meta.FirstTime = ChunkFirstTime;
-  Meta.RoutineMask = ChunkRoutineMask;
-  Meta.ShardMask = ChunkShardMask;
-  Meta.WrittenMask = ChunkWrittenMask;
-  // Payload = varint event count + the buffered encoded events; the
-  // chunk is the u32 payload length followed by the payload.
-  std::string CountPrefix;
-  writeVarint(CountPrefix, ChunkEvents);
-  std::string LenPrefix;
-  appendU32(LenPrefix,
-            static_cast<uint32_t>(CountPrefix.size() + Buffer.size()));
-  writeRaw(LenPrefix.data(), LenPrefix.size());
-  writeRaw(CountPrefix.data(), CountPrefix.size());
+  std::string Header;
+  appendU32(Header, static_cast<uint32_t>(Buffer.size()));
+  writeVarint(Header, ChunkEvents);
+  writeVarint(Header, ChunkRoutineMask);
+  for (uint64_t Word : ChunkShardMask)
+    writeVarint(Header, Word);
+  for (uint64_t Word : ChunkWrittenMask)
+    writeVarint(Header, Word);
+  appendU32(Header, crc32c(Header.data(), Header.size()));
+  std::string PayloadCrc;
+  appendU32(PayloadCrc, crc32c(Buffer.data(), Buffer.size()));
+  writeRaw(Header.data(), Header.size());
   writeRaw(Buffer.data(), Buffer.size());
-  Chunks.push_back(Meta);
+  writeRaw(PayloadCrc.data(), PayloadCrc.size());
+  // Hand the sealed chunk to the OS, so a reader of the growing file
+  // (a watching collector) sees it whole.
+  if (!Failed && std::fflush(File) != 0) {
+    Error = "flush failed on trace stream";
+    Failed = true;
+  }
+  ++ChunksWritten;
   Buffer.clear();
   ChunkEvents = 0;
-  ChunkFirstTime = 0;
   ChunkRoutineMask = 0;
   ChunkShardMask = {};
   ChunkWrittenMask = {};
-  // Reset the delta state: each chunk decodes independently, which is
-  // what makes chunk-level seek possible.
+  // Reset the delta state: each chunk decodes independently.
   LastTime = 0;
   std::memset(LastArg0, 0, sizeof(LastArg0));
 }
@@ -284,25 +342,9 @@ bool TraceStreamWriter::close() {
   if (!File)
     return !Failed;
   sealChunk();
-  uint64_t FooterOffset = BytesWritten;
-  std::string Footer;
-  writeVarint(Footer, Chunks.size());
-  for (const ChunkMeta &Meta : Chunks) {
-    writeVarint(Footer, Meta.Offset);
-    writeVarint(Footer, Meta.Events);
-    writeVarint(Footer, Meta.FirstTime);
-    if (Options.FormatVersion >= 2) {
-      writeVarint(Footer, Meta.RoutineMask);
-      for (uint64_t Word : Meta.ShardMask)
-        writeVarint(Footer, Word);
-    }
-    if (Options.FormatVersion >= 3)
-      for (uint64_t Word : Meta.WrittenMask)
-        writeVarint(Footer, Word);
-  }
-  appendU64(Footer, FooterOffset);
-  Footer.append(TrailerMagic, sizeof(TrailerMagic));
-  writeRaw(Footer.data(), Footer.size());
+  std::string End;
+  appendU32(End, 0);
+  writeRaw(End.data(), End.size());
   // fclose flushes stdio's buffer; a full disk surfaces here, not in
   // fwrite, so its result is part of the write succeeding.
   if (std::fclose(File) != 0 && !Failed) {
@@ -333,16 +375,21 @@ bool TraceStreamReader::fail(const std::string &Message) {
   return false;
 }
 
+bool TraceStreamReader::failChunk(size_t Chunk, const std::string &Message) {
+  ErrorChunk = Chunk;
+  return fail("chunk " + std::to_string(Chunk) + ": " + Message);
+}
+
 bool TraceStreamReader::open(const std::string &Path) {
   if (File)
     std::fclose(File);
   File = nullptr;
   Error.clear();
+  ErrorChunk = 0;
+  Complete = false;
   Routines.clear();
   Chunks.clear();
   TotalEvents = 0;
-  FooterOffset = 0;
-  Version = 0;
   Cursor = 0;
   File = std::fopen(Path.c_str(), "rb");
   if (!File)
@@ -353,131 +400,95 @@ bool TraceStreamReader::open(const std::string &Path) {
   if (EndPos < 0)
     return fail("cannot tell file size of '" + Path + "'");
   uint64_t FileSize = static_cast<uint64_t>(EndPos);
-  if (FileSize < MagicBytes + TrailerBytes)
-    return fail("not a trace stream: file too small");
 
-  char Head[MagicBytes];
+  // The prologue gives the routine table's length, so the header is
+  // read in one bounded read. A file that ends before the header does is
+  // a stream whose writer has not got past open(): it opens with no
+  // routines and no chunks. Both lengths sit under a CRC, so a flipped
+  // bit is corrupt, never mistaken for a torn header.
+  char Prologue[PrologueBytes];
+  size_t Avail =
+      static_cast<size_t>(std::min<uint64_t>(FileSize, PrologueBytes));
   if (std::fseek(File, 0, SEEK_SET) != 0 ||
-      std::fread(Head, 1, sizeof(Head), File) != sizeof(Head))
+      std::fread(Prologue, 1, Avail, File) != Avail)
+    return fail("cannot read '" + Path + "'");
+  if (std::memcmp(Prologue, StreamMagic, std::min(Avail, MagicBytes)) != 0)
     return fail("not a trace stream: bad magic");
-  Version = streamVersionOf(Head);
-  if (Version == 0)
-    return fail("not a trace stream: bad magic or unsupported version");
-
-  // Trailer: the last 16 bytes locate the footer index.
-  unsigned char Trailer[TrailerBytes];
-  if (std::fseek(File, static_cast<long>(FileSize - TrailerBytes),
-                 SEEK_SET) != 0 ||
-      std::fread(Trailer, 1, TrailerBytes, File) != TrailerBytes)
-    return fail("truncated trace stream: missing trailer");
-  if (std::memcmp(Trailer + 8, TrailerMagic, sizeof(TrailerMagic)) != 0)
-    return fail("truncated trace stream: bad trailer magic");
-  FooterOffset = decodeU64(Trailer);
-  if (FooterOffset < MagicBytes ||
-      FooterOffset > FileSize - TrailerBytes)
-    return fail("corrupt footer offset");
-
-  // Footer index: chunk count, then (offset, events, first time) per
-  // chunk. Counts are clamped to what the footer bytes can encode
-  // before anything is reserved.
-  size_t FooterLen = static_cast<size_t>(FileSize - TrailerBytes - FooterOffset);
-  std::string Footer(FooterLen, '\0');
-  if (std::fseek(File, static_cast<long>(FooterOffset), SEEK_SET) != 0 ||
-      std::fread(Footer.data(), 1, FooterLen, File) != FooterLen)
-    return fail("truncated trace stream: missing footer");
-  size_t Pos = 0;
-  uint64_t ChunkCount = 0;
-  if (!readVarint(Footer, Pos, ChunkCount))
-    return fail("corrupt footer: bad chunk count");
-  // Each index entry is at least three one-byte varints (v2 adds the
-  // routine mask and four shard-mask words, v3 four more written-mask
-  // words, one byte minimum each).
-  size_t MinEntryBytes = Version >= 3 ? 12 : (Version >= 2 ? 8 : 3);
-  if (ChunkCount > (Footer.size() - Pos) / MinEntryBytes)
-    return fail("corrupt footer: chunk count exceeds index bytes");
-  Chunks.reserve(ChunkCount);
-  uint64_t PrevEnd = MagicBytes;
-  for (uint64_t I = 0; I != ChunkCount; ++I) {
-    ChunkMeta Meta;
-    if (!readVarint(Footer, Pos, Meta.Offset) ||
-        !readVarint(Footer, Pos, Meta.Events) ||
-        !readVarint(Footer, Pos, Meta.FirstTime))
-      return fail("corrupt footer: truncated index entry");
-    if (Version >= 2) {
-      bool MasksOk = readVarint(Footer, Pos, Meta.RoutineMask);
-      for (uint64_t &Word : Meta.ShardMask)
-        MasksOk = MasksOk && readVarint(Footer, Pos, Word);
-      if (!MasksOk)
-        return fail("corrupt footer: truncated activity masks");
-    } else {
-      // v1 carries no activity masks; report "everything may be
-      // active" so mask-driven skipping is a no-op, never wrong.
-      Meta.RoutineMask = ~uint64_t(0);
-      Meta.ShardMask.fill(~uint64_t(0));
-    }
-    if (Version >= 3) {
-      bool MasksOk = true;
-      for (uint64_t &Word : Meta.WrittenMask)
-        MasksOk = MasksOk && readVarint(Footer, Pos, Word);
-      if (!MasksOk)
-        return fail("corrupt footer: truncated written masks");
-    } else {
-      // Pre-v3 indexes don't say what a chunk writes; report
-      // "everything may be written" so write-aware skipping stays
-      // sound (it just never skips on old streams).
-      Meta.WrittenMask.fill(~uint64_t(0));
-    }
-    // Offsets must be in order, past the header (and every earlier
-    // chunk), and leave room for the chunk's own length prefix.
-    if (Meta.Offset < PrevEnd || Meta.Offset + 4 > FooterOffset)
-      return fail("corrupt footer: chunk offset out of bounds");
-    PrevEnd = Meta.Offset + 4;
-    TotalEvents += Meta.Events;
-    Chunks.push_back(Meta);
+  if (Avail < PrologueBytes)
+    return true;
+  if (crc32c(Prologue, MagicBytes + 4) !=
+      decodeU32(Prologue + MagicBytes + 4))
+    return fail("corrupt header: checksum mismatch");
+  uint64_t TableBytes = decodeU32(Prologue + MagicBytes);
+  uint64_t HeaderEnd = PrologueBytes + TableBytes + 4;
+  if (HeaderEnd > FileSize)
+    return true;
+  std::string Table(static_cast<size_t>(TableBytes) + 4, '\0');
+  if (std::fread(Table.data(), 1, Table.size(), File) != Table.size())
+    return fail("cannot read '" + Path + "'");
+  if (crc32c(Table.data(), TableBytes) != decodeU32(Table.data() + TableBytes))
+    return fail("corrupt routine table: checksum mismatch");
+  std::string Why;
+  if (!parseRoutineTable(Table.data(), TableBytes, Routines, Why)) {
+    Routines.clear();
+    return fail(Why);
   }
-  if (Pos != Footer.size())
-    return fail("corrupt footer: trailing bytes");
-
-  // Routine table: everything between the magic and the first chunk
-  // (or the footer, for an event-free stream).
-  uint64_t HeaderEnd = Chunks.empty() ? FooterOffset : Chunks.front().Offset;
-  size_t HeaderLen = static_cast<size_t>(HeaderEnd - MagicBytes);
-  std::string Header(HeaderLen, '\0');
-  if (std::fseek(File, MagicBytes, SEEK_SET) != 0 ||
-      std::fread(Header.data(), 1, HeaderLen, File) != HeaderLen)
-    return fail("truncated trace stream: missing routine table");
-  Pos = 0;
-  uint64_t RoutineCount = 0;
-  if (!readVarint(Header, Pos, RoutineCount))
-    return fail("corrupt routine table: bad count");
-  // Each routine needs at least two bytes (id + length varints).
-  if (RoutineCount > (Header.size() - Pos) / 2)
-    return fail("corrupt routine table: count exceeds header bytes");
-  Routines.reserve(RoutineCount);
-  for (uint64_t I = 0; I != RoutineCount; ++I) {
-    uint64_t Id = 0, Len = 0;
-    if (!readVarint(Header, Pos, Id) || !readVarint(Header, Pos, Len) ||
-        Header.size() - Pos < Len)
-      return fail("corrupt routine table: truncated entry");
-    if (Id > UINT32_MAX)
-      return fail("corrupt routine table: routine id out of range");
-    Routines.emplace_back(static_cast<RoutineId>(Id),
-                          Header.substr(Pos, Len));
-    Pos += Len;
-  }
-  if (Pos != Header.size())
-    return fail("corrupt routine table: trailing bytes");
-  return true;
+  return indexChunks(HeaderEnd, FileSize);
 }
 
-size_t TraceStreamReader::chunkIndexForTime(uint64_t Time) const {
-  size_t Lo = 0;
-  for (size_t I = 0; I != Chunks.size(); ++I) {
-    if (Chunks[I].FirstTime > Time)
-      break;
-    Lo = I;
+bool TraceStreamReader::indexChunks(uint64_t Offset, uint64_t FileSize) {
+  char Buf[MaxChunkHeaderBytes];
+  for (;;) {
+    size_t Chunk = Chunks.size();
+    size_t Avail = static_cast<size_t>(
+        std::min<uint64_t>(MaxChunkHeaderBytes, FileSize - Offset));
+    if (Avail == 0)
+      return true; // cut at a chunk boundary, before the end marker
+    if (std::fseek(File, static_cast<long>(Offset), SEEK_SET) != 0 ||
+        std::fread(Buf, 1, Avail, File) != Avail)
+      return failChunk(Chunk, "cannot read chunk header");
+    if (Avail < 4)
+      return true; // torn length field
+    ChunkMeta Meta;
+    Meta.PayloadBytes = decodeU32(Buf);
+    if (Meta.PayloadBytes == 0) {
+      if (Offset + 4 != FileSize)
+        return failChunk(Chunk,
+                         "corrupt stream: bytes after the end marker");
+      Complete = true;
+      return true;
+    }
+    size_t Pos = 4;
+    Parse P = readVarint(Buf, Avail, Pos, Meta.Events);
+    if (P == Parse::Ok)
+      P = readVarint(Buf, Avail, Pos, Meta.RoutineMask);
+    for (uint64_t &Word : Meta.ShardMask)
+      if (P == Parse::Ok)
+        P = readVarint(Buf, Avail, Pos, Word);
+    for (uint64_t &Word : Meta.WrittenMask)
+      if (P == Parse::Ok)
+        P = readVarint(Buf, Avail, Pos, Word);
+    if (P == Parse::Ok && Avail - Pos < 4)
+      P = Parse::Short;
+    // Running out of bytes is a torn header only where the file ends: a
+    // whole header always fits in MaxChunkHeaderBytes.
+    if (P == Parse::Short && Avail < MaxChunkHeaderBytes)
+      return true;
+    if (P != Parse::Ok)
+      return failChunk(Chunk, "corrupt chunk header: malformed field");
+    if (crc32c(Buf, Pos) != decodeU32(Buf + Pos))
+      return failChunk(Chunk, "corrupt chunk header: checksum mismatch");
+    if (Meta.Events == 0 || Meta.Events > Meta.PayloadBytes / MinEventBytes)
+      return failChunk(Chunk, "corrupt chunk header: event count does not "
+                              "fit the payload");
+    Meta.PayloadOffset = Offset + Pos + 4;
+    uint64_t Next = Meta.PayloadOffset + Meta.PayloadBytes + 4;
+    if (Next > FileSize)
+      return true; // the payload is still being written
+    TotalEvents += Meta.Events;
+    Chunks.push_back(Meta);
+    Offset = Next;
   }
-  return Lo;
 }
 
 bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
@@ -489,55 +500,41 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
     return false;
   }
   const ChunkMeta &Meta = Chunks[I];
-  unsigned char LenBytes[4];
-  if (std::fseek(File, static_cast<long>(Meta.Offset), SEEK_SET) != 0 ||
-      std::fread(LenBytes, 1, 4, File) != 4)
-    return fail("truncated chunk: missing length prefix");
-  uint32_t PayloadLen = decodeU32(LenBytes);
-  // A chunk must end before the footer index begins; a length that
-  // runs past it (or past EOF) is rejected before any read.
-  if (PayloadLen == 0 ||
-      static_cast<uint64_t>(PayloadLen) > FooterOffset - (Meta.Offset + 4))
-    return fail("corrupt chunk: payload length out of bounds");
-  Payload.resize(PayloadLen);
-  if (std::fread(Payload.data(), 1, PayloadLen, File) != PayloadLen)
-    return fail("truncated chunk: payload cut short");
+  size_t Len = Meta.PayloadBytes;
+  Payload.resize(Len + 4);
+  long At = static_cast<long>(Meta.PayloadOffset);
+  if (std::fseek(File, At, SEEK_SET) != 0 ||
+      std::fread(Payload.data(), 1, Payload.size(), File) != Payload.size())
+    return failChunk(I, "truncated chunk: payload cut short");
+  if (crc32c(Payload.data(), Len) != decodeU32(Payload.data() + Len))
+    return failChunk(I, "corrupt chunk: payload checksum mismatch");
 
-  size_t Pos = 0;
-  uint64_t EventCount = 0;
-  if (!readVarint(Payload, Pos, EventCount))
-    return fail("corrupt chunk: bad event count");
-  // The smallest encoded event is five bytes; clamp the declared count
-  // to what the payload can hold before reserving, and cross-check it
-  // against the footer index so the two can never disagree silently.
-  if (EventCount > (Payload.size() - Pos) / 5)
-    return fail("corrupt chunk: event count exceeds payload bytes");
-  if (EventCount != Meta.Events)
-    return fail("corrupt chunk: event count disagrees with footer index");
-  Out.reserve(EventCount);
+  Out.reserve(Meta.Events);
   // Per-chunk delta state: every chunk decodes from a clean slate —
   // both the on-disk delta codec and the packed word encoder, so each
   // chunk's word run also decodes standalone.
+  const char *Bytes = Payload.data();
+  size_t Pos = 0;
   uint64_t LastTime = 0;
   uint64_t LastArg0[32] = {};
   EventEncoder Enc;
   Event Words[Event::MaxWordsPerRecord];
-  for (uint64_t N = 0; N != EventCount; ++N) {
-    if (Pos >= Payload.size())
-      return fail("corrupt chunk: truncated event");
-    uint8_t KindByte = static_cast<uint8_t>(Payload[Pos++]);
+  for (uint64_t N = 0; N != Meta.Events; ++N) {
+    if (Pos >= Len)
+      return failChunk(I, "corrupt chunk: truncated event");
+    uint8_t KindByte = static_cast<uint8_t>(Bytes[Pos++]);
     if (KindByte > static_cast<uint8_t>(EventKind::ThreadSwitch))
-      return fail("corrupt chunk: invalid event kind");
+      return failChunk(I, "corrupt chunk: invalid event kind");
     EventRecord E;
     E.Kind = static_cast<EventKind>(KindByte);
     uint64_t Tid = 0, TimeDelta = 0, Arg0Delta = 0, Arg1 = 0;
-    if (!readVarint(Payload, Pos, Tid) ||
-        !readVarint(Payload, Pos, TimeDelta) ||
-        !readVarint(Payload, Pos, Arg0Delta) ||
-        !readVarint(Payload, Pos, Arg1))
-      return fail("corrupt chunk: bad event varint");
+    if (readVarint(Bytes, Len, Pos, Tid) != Parse::Ok ||
+        readVarint(Bytes, Len, Pos, TimeDelta) != Parse::Ok ||
+        readVarint(Bytes, Len, Pos, Arg0Delta) != Parse::Ok ||
+        readVarint(Bytes, Len, Pos, Arg1) != Parse::Ok)
+      return failChunk(I, "corrupt chunk: bad event varint");
     if (Tid > UINT32_MAX)
-      return fail("corrupt chunk: thread id out of range");
+      return failChunk(I, "corrupt chunk: thread id out of range");
     E.Tid = static_cast<ThreadId>(Tid);
     LastTime += TimeDelta;
     E.Time = LastTime;
@@ -547,8 +544,8 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
     E.Arg1 = Arg1;
     Out.insert(Out.end(), Words, Words + Enc.encode(E, Words));
   }
-  if (Pos != Payload.size())
-    return fail("corrupt chunk: trailing payload bytes");
+  if (Pos != Len)
+    return failChunk(I, "corrupt chunk: trailing payload bytes");
   return true;
 }
 
@@ -589,16 +586,13 @@ bool isp::isTraceStreamFile(const std::string &Path) {
     return false;
   char Head[MagicBytes];
   bool Ok = std::fread(Head, 1, sizeof(Head), File) == sizeof(Head) &&
-            streamVersionOf(Head) != 0;
+            std::memcmp(Head, StreamMagic, MagicBytes) == 0;
   std::fclose(File);
   return Ok;
 }
 
-bool isp::replayTraceStream(TraceStreamReader &Reader, Tool &T,
-                            const SymbolTable *Symbols) {
-  EventDispatcher Dispatcher;
-  Dispatcher.addTool(&T);
-  Dispatcher.start(Symbols);
+bool isp::replayTraceStream(TraceStreamReader &Reader,
+                            EventDispatcher &Dispatcher) {
   std::vector<Event> Chunk;
   Reader.seek(0);
   while (Reader.nextChunk(Chunk)) {
@@ -606,8 +600,17 @@ bool isp::replayTraceStream(TraceStreamReader &Reader, Tool &T,
     for (EventRecord E; V.next(E);)
       Dispatcher.enqueue(E);
   }
+  return Reader.error().empty();
+}
+
+bool isp::replayTraceStream(TraceStreamReader &Reader, Tool &T,
+                            const SymbolTable *Symbols) {
+  EventDispatcher Dispatcher;
+  Dispatcher.addTool(&T);
+  Dispatcher.start(Symbols);
+  bool Ok = replayTraceStream(Reader, Dispatcher);
   // finish() runs either way so the tool's onFinish leaves partial
   // results well-formed even when a mid-stream chunk is corrupt.
   Dispatcher.finish();
-  return Reader.error().empty();
+  return Ok;
 }

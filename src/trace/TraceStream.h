@@ -5,61 +5,69 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Bounded-memory trace recording and replay: the delta/varint event
-/// codec of TraceFile.h layered on an incremental, chunked file writer,
-/// so recording a long run never materializes the whole event vector and
-/// replaying one never loads more than a single chunk.
+/// The one on-disk trace format: a delta/varint event codec on an
+/// incremental, chunked file writer, so recording a long run never
+/// materializes the whole event vector and replaying one never loads
+/// more than a single chunk.
 ///
-/// Stream layout (magic "ISPSTM03"; readers also accept v2 "ISPSTM02"
-/// and v1 "ISPSTM01"):
+/// Stream layout (magic "ISPSTM04"; all integers little-endian, varints
+/// unsigned LEB128):
 ///
-///   header  : magic | varint routine count
-///             | routines (varint id, varint name length, name bytes)
-///   chunk*  : u32 payload length | payload
-///   payload : varint event count | packed events (the v2 delta/varint
-///             encoding, with the delta state RESET at each chunk start,
-///             so every chunk decodes independently — the property that
-///             makes chunk-level seek possible)
-///   footer  : varint chunk count
-///             | per chunk (varint file offset, varint event count,
-///               varint first event time,
-///               [v2+] varint routine-activity mask,
-///               [v2+] 4 x varint shard-activity mask words,
-///               [v3+] 4 x varint written-shard mask words)
-///   trailer : u64 footer offset | magic "ISPSTMIX"
+///   header  : magic | u32 routine-table length
+///             | u32 CRC32C of the magic and length
+///             | routine table: varint routine count, then per routine
+///               varint id, varint name length, name bytes
+///             | u32 CRC32C of the routine table
+///   chunk*  : chunk header | payload | u32 CRC32C of the payload
+///   chunk header : u32 payload length (never 0) | varint event count
+///             | varint routine-activity mask
+///             | 4 x varint shard-activity mask words
+///             | 4 x varint written-shard mask words
+///             | u32 CRC32C of the header fields before it
+///   payload : packed events (kind byte, then varint tid, time delta,
+///             zigzag arg0 delta per kind, arg1), with the delta state
+///             RESET at each chunk start so every chunk decodes
+///             independently
+///   end     : u32 0, written by close()
 ///
-/// The footer index is written last (the writer knows chunk offsets only
-/// after the fact) and found through the fixed-size trailer, so a reader
-/// can seek to any chunk — and a truncated file is detected immediately
-/// rather than half-replayed.
+/// Each chunk describes itself, so the chunk headers are the index:
+/// open() walks them, checking each header's CRC and seeking past the
+/// payload. The masks a consumer skips on are therefore verified before
+/// anything is skipped, and readChunk() checks the payload CRC before it
+/// decodes.
 ///
-/// The v2 activity masks are per-chunk Bloom-style summaries consumed by
-/// the parallel replay engine (replay/ParallelReplay.h): the routine
+/// Prefix policy. A stream without the end marker — its writer is still
+/// running, or died — opens with its complete chunks and complete()
+/// returns false: the last chunk header is torn, or a chunk whose
+/// CRC-valid length runs past the end of the file. A file that ends
+/// inside the header its length field promises opens with no routines
+/// and no chunks. Replaying such a prefix closes every activation still
+/// open at the recovered end through the tools' onFinish, exactly as at
+/// the end of a complete stream. A CRC mismatch, a malformed header, or
+/// bytes after the end marker make the stream corrupt: open() or
+/// readChunk() fails, and errorChunk() names the chunk.
+///
+/// The activity masks are per-chunk Bloom-style summaries. The routine
 /// mask sets bit `RoutineId & 63` for every Call in the chunk, and the
 /// 256-bit shard mask sets bit `(Addr >> ActivityChunkShift) & 255` for
 /// every shadow chunk a memory access touches. The shard geometry
 /// mirrors the shadow-memory layout (ThreeLevelShadow::OffsetBits /
 /// ShardedShadow::MaxShards) and is stored at maximum resolution, so one
-/// recorded mask folds down to any configured shard count. Masks are
-/// advisory: they can only suppress per-chunk bookkeeping for provably
-/// untouched shards, never change what is replayed, so a corrupt mask
-/// cannot corrupt results. v1 streams read back with all-ones masks.
+/// recorded mask folds down to any configured shard count. The parallel
+/// replay engine (replay/ParallelReplay.h) counts the workers a chunk
+/// cannot reach with the shard mask.
 ///
-/// The v3 written-shard mask records the shard slots touched by
-/// *mutating* events (Write, KernelWrite, Alloc). The
-/// collector's routine-filtered ingest consults it before skipping a
-/// chunk: a chunk containing no filtered routine may still *write*
-/// memory that a later, matching chunk reads, and dropping that write
-/// would undercount trms — the written mask makes "this chunk cannot
-/// induce any retained read" checkable per chunk (collect/Collector.cpp
-/// has the suffix-union argument). v1/v2 streams read back with
-/// all-ones written masks, so consumers that filter unconditionally
-/// simply never skip on old streams (hasWrittenMasks() distinguishes).
+/// The written-shard mask records the shard slots touched by *mutating*
+/// events (Write, KernelWrite, Alloc). The collector's routine-filtered
+/// ingest consults it before skipping a chunk: a chunk containing no
+/// filtered routine may still *write* memory that a later, matching
+/// chunk reads, and dropping that write would undercount trms
+/// (collect/Collector.cpp has the suffix-union argument).
 ///
-/// In-memory, decoded chunks are delivered as packed 16-byte stream
-/// words (trace/Event.h) — the on-disk payload codec is unchanged, but
-/// readers re-encode into the packed form so replay buffers hold ~2.5x
-/// more events per cache line than the wide record form.
+/// In memory, decoded chunks are delivered as packed 16-byte stream
+/// words (trace/Event.h): readers re-encode into the packed form so
+/// replay buffers hold ~2.5x more events per cache line than the wide
+/// record form.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,7 +76,6 @@
 
 #include "instr/Dispatcher.h"
 #include "trace/Event.h"
-#include "trace/TraceFile.h"
 
 #include <array>
 #include <cstdint>
@@ -82,7 +89,7 @@ namespace isp {
 class SymbolTable;
 class Tool;
 
-/// Shadow-chunk key geometry for the v2 activity masks. A memory address
+/// Shadow-chunk key geometry for the activity masks. A memory address
 /// maps to shadow chunk key `Addr >> ActivityChunkShift`; the mask
 /// records `key & (ActivityShardSlots - 1)`. These mirror
 /// ThreeLevelShadow::OffsetBits and ShardedShadow::MaxShards (statically
@@ -94,24 +101,24 @@ inline constexpr unsigned ActivityShardSlots = 256;
 /// the chunk touches some shadow chunk whose key folds to slot `k`.
 using ShardActivityMask = std::array<uint64_t, 4>;
 
+/// CRC32C (Castagnoli) of \p Size bytes at \p Data: the checksum that
+/// guards the stream header, every chunk header and every payload.
+uint32_t crc32c(const void *Data, size_t Size);
+
 struct TraceStreamOptions {
   /// Target chunk payload size. A chunk is sealed when its encoded
   /// payload reaches this many bytes, so writer memory is bounded by
   /// roughly one chunk regardless of trace length. The default keeps
   /// chunks comfortably cache-resident while amortizing per-chunk
-  /// overhead (header, footer entry, one fwrite) over ~10k events.
+  /// overhead (header, two checksums, one flush) over ~10k events.
   size_t ChunkBytes = size_t(1) << 16;
-  /// Stream format version to emit: 3 (default) writes activity masks
-  /// plus the per-chunk written-shard masks, 2 omits the written masks,
-  /// 1 writes the legacy mask-less index (compatibility tests).
-  /// Anything else fails open().
-  unsigned FormatVersion = 3;
 };
 
 /// Incremental trace writer: events stream to disk chunk by chunk as
-/// they arrive. Implements EventDispatcher::RecordSink so it can be
-/// plugged directly into the dispatcher as a recording sink that
-/// consumes flushed batches (see EventDispatcher::setRecordSink).
+/// they arrive, and each sealed chunk is flushed, so a concurrent or
+/// later reader sees every chunk sealed so far. Implements
+/// EventDispatcher::RecordSink so it can be plugged directly into the
+/// dispatcher as the recording sink (see EventDispatcher::setRecordSink).
 class TraceStreamWriter : public EventDispatcher::RecordSink {
 public:
   TraceStreamWriter() = default;
@@ -133,16 +140,16 @@ public:
   /// RecordSink hook); each batch decodes standalone.
   void recordBatch(const Event *Words, size_t Count) override;
 
-  /// Seals the final chunk, writes the footer index and trailer, and
-  /// closes the file. Returns false if any write (including earlier
-  /// append I/O) failed. The writer can be reused via open() after.
+  /// Seals the final chunk, writes the end marker, and closes the file.
+  /// Returns false if any write (including earlier append I/O) failed.
+  /// The writer can be reused via open() after.
   bool close();
 
   bool isOpen() const { return File != nullptr; }
   const std::string &error() const { return Error; }
 
   uint64_t eventsWritten() const { return EventsWritten; }
-  uint64_t chunksWritten() const { return Chunks.size(); }
+  uint64_t chunksWritten() const { return ChunksWritten; }
   uint64_t bytesWritten() const { return BytesWritten; }
   /// Bytes currently buffered for the open chunk, and the high-water
   /// mark over the stream's lifetime — the writer's whole variable
@@ -152,15 +159,6 @@ public:
   uint64_t peakBufferedBytes() const { return PeakBufferedBytes; }
 
 private:
-  struct ChunkMeta {
-    uint64_t Offset = 0;
-    uint64_t Events = 0;
-    uint64_t FirstTime = 0;
-    uint64_t RoutineMask = 0;
-    ShardActivityMask ShardMask = {};
-    ShardActivityMask WrittenMask = {};
-  };
-
   void sealChunk();
   void writeRaw(const void *Data, size_t Size);
   void noteActivity(const EventRecord &E);
@@ -169,11 +167,8 @@ private:
   TraceStreamOptions Options;
   std::string Buffer;
   std::string Error;
-  std::vector<ChunkMeta> Chunks;
   uint64_t ChunkEvents = 0;
-  uint64_t ChunkFirstTime = 0;
-  /// Activity accumulated for the open chunk (v2+ output only; the
-  /// written mask is emitted only at v3+).
+  /// Activity accumulated for the open chunk.
   uint64_t ChunkRoutineMask = 0;
   ShardActivityMask ChunkShardMask = {};
   ShardActivityMask ChunkWrittenMask = {};
@@ -181,20 +176,22 @@ private:
   uint64_t LastTime = 0;
   uint64_t LastArg0[32] = {};
   uint64_t EventsWritten = 0;
+  uint64_t ChunksWritten = 0;
   uint64_t BytesWritten = 0;
   uint64_t PeakBufferedBytes = 0;
   bool Failed = false;
 };
 
-/// Incremental trace reader: open() loads only the header and the
-/// footer index; chunks are decoded one at a time into a caller-owned
+/// Incremental trace reader: open() reads the header and walks the
+/// chunk headers; chunks are decoded one at a time into a caller-owned
 /// reuse buffer, so replay memory is one chunk regardless of trace
-/// length. Chunk-level random access (seek) goes through the index.
+/// length.
 ///
-/// Every malformed input — truncated chunk, corrupt footer, overlong
-/// varint, chunk length past EOF — is rejected with a diagnostic in
-/// error(); no input crashes the reader or makes it allocate beyond
-/// what the actual payload bytes can back.
+/// Every malformed input — checksum mismatch, overlong varint, bytes
+/// after the end marker — is rejected with a diagnostic in error(); no
+/// input crashes the reader or makes it allocate beyond what the actual
+/// file bytes can back. A truncated stream is not malformed: it opens
+/// with its complete chunks (see the prefix policy above).
 class TraceStreamReader {
 public:
   TraceStreamReader() = default;
@@ -202,30 +199,26 @@ public:
   TraceStreamReader(const TraceStreamReader &) = delete;
   TraceStreamReader &operator=(const TraceStreamReader &) = delete;
 
-  /// Opens \p Path, validating the header, trailer, and footer index.
+  /// Opens \p Path and indexes its complete chunks. Returns false when
+  /// the file cannot be read, is not a stream, or is corrupt.
   bool open(const std::string &Path);
 
+  /// The diagnostic of the last failure. Failures inside a chunk start
+  /// with "chunk N: ".
   const std::string &error() const { return Error; }
+  /// The chunk a chunk-level diagnostic names: the chunk whose header or
+  /// payload failed, or the index at which bytes follow the end marker.
+  size_t errorChunk() const { return ErrorChunk; }
+  /// True when the stream ends with the end marker; false for a prefix
+  /// whose writer has not finished (or never will).
+  bool complete() const { return Complete; }
   const std::vector<std::pair<RoutineId, std::string>> &routines() const {
     return Routines;
   }
   size_t chunkCount() const { return Chunks.size(); }
-  /// Total events across all chunks, from the footer index (no decode).
+  /// Total events across all complete chunks (no decode).
   uint64_t eventCount() const { return TotalEvents; }
-  /// Per-chunk metadata from the index: event count and the timestamp
-  /// of the chunk's first event (the seek key for time-based lookup).
   uint64_t chunkEvents(size_t I) const { return Chunks[I].Events; }
-  uint64_t chunkFirstTime(size_t I) const { return Chunks[I].FirstTime; }
-
-  /// Format version of the open stream (1, 2, or 3).
-  unsigned formatVersion() const { return Version; }
-  /// True when the index carries real per-chunk activity masks (v2+).
-  /// For v1 streams the mask accessors return all-ones, so consumers
-  /// can filter unconditionally and v1 simply never skips anything.
-  bool hasActivityMasks() const { return Version >= 2; }
-  /// True when the index carries real per-chunk written-shard masks
-  /// (v3+). v1/v2 report all-ones written masks (fail-open).
-  bool hasWrittenMasks() const { return Version >= 3; }
   /// Routine-activity mask of chunk \p I: bit `RoutineId & 63` is set
   /// for every Call the chunk contains.
   uint64_t chunkRoutineMask(size_t I) const { return Chunks[I].RoutineMask; }
@@ -239,21 +232,15 @@ public:
     return Chunks[I].WrittenMask;
   }
 
-  /// Index of the last chunk whose first event time is <= \p Time (0 if
-  /// Time predates every chunk) — chunk-level seek for resuming replay
-  /// mid-stream.
-  size_t chunkIndexForTime(uint64_t Time) const;
-
   /// Decodes chunk \p I into packed stream words (cleared first;
   /// capacity is reused across calls). Each chunk's word run decodes
-  /// standalone. Returns false with a diagnostic on any malformed
-  /// chunk.
+  /// standalone. Returns false with a diagnostic on a corrupt chunk.
   bool readChunk(size_t I, std::vector<Event> &Out);
   /// Wide-record convenience overload (tests, offline analysis).
   bool readChunk(size_t I, std::vector<EventRecord> &Out);
 
   /// Sequential cursor: decodes the next unread chunk into \p Out.
-  /// Returns false at end of stream (error() empty) or on a malformed
+  /// Returns false at end of stream (error() empty) or on a corrupt
   /// chunk (error() set). seek() repositions the cursor.
   bool nextChunk(std::vector<Event> &Out);
   bool nextChunk(std::vector<EventRecord> &Out);
@@ -262,23 +249,25 @@ public:
 
 private:
   struct ChunkMeta {
-    uint64_t Offset = 0;
+    uint64_t PayloadOffset = 0;
+    uint32_t PayloadBytes = 0;
     uint64_t Events = 0;
-    uint64_t FirstTime = 0;
     uint64_t RoutineMask = 0;
     ShardActivityMask ShardMask = {};
     ShardActivityMask WrittenMask = {};
   };
 
   bool fail(const std::string &Message);
+  bool failChunk(size_t Chunk, const std::string &Message);
+  bool indexChunks(uint64_t Offset, uint64_t FileSize);
 
   std::FILE *File = nullptr;
   std::string Error;
+  size_t ErrorChunk = 0;
+  bool Complete = false;
   std::vector<std::pair<RoutineId, std::string>> Routines;
   std::vector<ChunkMeta> Chunks;
   uint64_t TotalEvents = 0;
-  uint64_t FooterOffset = 0;
-  unsigned Version = 0;
   size_t Cursor = 0;
   /// Reused raw-payload buffer (readChunk decodes out of it).
   std::string Payload;
@@ -286,15 +275,19 @@ private:
   std::vector<Event> PackedScratch;
 };
 
-/// True when \p Path starts with the chunked-stream magic; lets the
-/// driver auto-detect stream files next to the monolithic formats.
+/// True when \p Path starts with the stream magic; lets spool scans
+/// recognize stream files whatever their extension.
 bool isTraceStreamFile(const std::string &Path);
 
-/// Replays \p Reader's full stream into \p T through a batching
-/// EventDispatcher (the same delivery path replayTraceBatched uses),
-/// pulling one chunk at a time with a reused buffer. Returns false on
-/// a read error (Reader.error() explains); the tool still sees
-/// onFinish so partial results are well-formed.
+/// Feeds every chunk of \p Reader, from the first, into \p Dispatcher,
+/// which the caller has started and will finish. Returns false on a
+/// corrupt chunk (Reader.error() explains); the events before it have
+/// been enqueued.
+bool replayTraceStream(TraceStreamReader &Reader, EventDispatcher &Dispatcher);
+
+/// Replays \p Reader's stream into \p T through a batching
+/// EventDispatcher. The tool sees onFinish even after a corrupt chunk,
+/// so partial results are well-formed.
 bool replayTraceStream(TraceStreamReader &Reader, Tool &T,
                        const SymbolTable *Symbols = nullptr);
 

@@ -8,11 +8,14 @@
 // identity (concurrent multi-stream ingestion equals merging per-stream
 // results serially, property-tested over synthetic traces), differential
 // views (diff of a store against itself is empty; genuine growth changes
-// are flagged), corrupt-stream isolation, and routine-filtered chunk
-// skipping on v2 activity bitmaps.
+// are flagged), stream states (corrupt streams are isolated, incomplete
+// ones merge their complete chunks or are deferred), and routine-filtered
+// chunk skipping on the chunk activity masks, which no bit flip can
+// mislead.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "collect/Collector.h"
 #include "collect/FleetStore.h"
 
@@ -24,9 +27,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <random>
-
-#include <unistd.h>
+#include <sstream>
 
 using namespace isp;
 using namespace isp::collect;
@@ -231,8 +234,20 @@ TEST(FleetDiff, FlagsCostGrowthAndMissingRoutines) {
 }
 
 //===----------------------------------------------------------------------===//
-// Corrupt-stream isolation
+// Stream states: corrupt, incomplete
 //===----------------------------------------------------------------------===//
+
+std::string readBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
+}
+
+void writeBytes(const std::string &Path, const std::string &Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
 
 TEST(Collector, CorruptStreamIsReportedAndDoesNotPoisonTheRollup) {
   std::vector<std::string> Good;
@@ -240,19 +255,14 @@ TEST(Collector, CorruptStreamIsReportedAndDoesNotPoisonTheRollup) {
     Good.push_back(
         writeSyntheticStream("corrupt_good_" + std::to_string(Seed), Seed));
 
-  // Truncate a copy of a valid stream mid-chunk: the reader reports the
-  // failing chunk, the collector names the file, and the rollup equals
+  // Flip one bit mid-file in a copy of a valid stream: a checksum
+  // catches it, the collector names the file, and the rollup equals
   // ingesting only the good streams.
   std::string Bad = writeSyntheticStream("corrupt_bad", 9);
-  {
-    FILE *F = std::fopen(Bad.c_str(), "r+");
-    ASSERT_NE(F, nullptr);
-    std::fseek(F, 0, SEEK_END);
-    long Size = std::ftell(F);
-    ASSERT_GT(Size, 512);
-    ASSERT_EQ(::truncate(Bad.c_str(), Size / 2), 0);
-    std::fclose(F);
-  }
+  std::string Bytes = readBytes(Bad);
+  ASSERT_GT(Bytes.size(), 512u);
+  Bytes[Bytes.size() / 2] ^= 0x10;
+  writeBytes(Bad, Bytes);
 
   std::vector<std::string> All = Good;
   All.insert(All.begin() + 1, Bad); // corrupt one among N
@@ -262,10 +272,13 @@ TEST(Collector, CorruptStreamIsReportedAndDoesNotPoisonTheRollup) {
   Opts.Workers = 3;
   Collector C(Opts, WithBad);
   EXPECT_EQ(C.ingestFiles(All), Good.size());
-  EXPECT_EQ(C.totals().StreamsFailed, 1u);
+  EXPECT_EQ(C.totals().StreamsCorrupt, 1u);
+  EXPECT_EQ(C.totals().StreamsIncomplete, 0u);
   ASSERT_EQ(C.errors().size(), 1u);
   EXPECT_EQ(C.errors()[0].File, Bad);
-  EXPECT_FALSE(C.errors()[0].Message.empty());
+  EXPECT_NE(C.errors()[0].Message.find("checksum mismatch"),
+            std::string::npos)
+      << C.errors()[0].Message;
 
   FleetStore GoodOnly;
   Collector CG(Opts, GoodOnly);
@@ -274,6 +287,65 @@ TEST(Collector, CorruptStreamIsReportedAndDoesNotPoisonTheRollup) {
 
   for (const std::string &P : All)
     std::remove(P.c_str());
+}
+
+TEST(Collector, IncompleteStreamMergesItsCompleteChunksOrIsDeferred) {
+  // A stream cut mid-chunk — its writer still running, or dead — is not
+  // an error. Deferred, it is left unmerged for a retry; otherwise its
+  // complete chunks are merged, exactly as a complete stream holding
+  // just those chunks would be.
+  std::string Cut = writeSyntheticStream("incomplete_cut", 12);
+  std::string Bytes = readBytes(Cut);
+  writeBytes(Cut, Bytes.substr(0, Bytes.size() / 2 + 3));
+
+  TraceStreamReader Reader;
+  ASSERT_TRUE(Reader.open(Cut)) << Reader.error();
+  ASSERT_FALSE(Reader.complete());
+  ASSERT_GT(Reader.chunkCount(), 0u);
+  std::string Prefix = tempStream("incomplete_prefix");
+  {
+    TraceStreamWriter Writer;
+    ASSERT_TRUE(Writer.open(Prefix, Reader.routines())) << Writer.error();
+    std::vector<EventRecord> Chunk;
+    while (Reader.nextChunk(Chunk))
+      for (const EventRecord &E : Chunk)
+        Writer.append(E);
+    ASSERT_TRUE(Reader.error().empty()) << Reader.error();
+    ASSERT_TRUE(Writer.close()) << Writer.error();
+  }
+
+  CollectorOptions Opts;
+  Opts.ProgramLabel = "prog";
+  FleetStore Deferred;
+  Collector CD(Opts, Deferred);
+  std::vector<std::string> Retry;
+  EXPECT_EQ(CD.ingestFiles({Cut}, &Retry), 0u);
+  EXPECT_EQ(Retry, std::vector<std::string>{Cut});
+  EXPECT_EQ(CD.totals().Streams + CD.totals().StreamsIncomplete +
+                CD.totals().StreamsCorrupt,
+            0u);
+  EXPECT_EQ(Deferred.routineCount(), 0u);
+  EXPECT_TRUE(CD.incomplete().empty());
+
+  FleetStore Recovered;
+  Collector C(Opts, Recovered);
+  EXPECT_EQ(C.ingestFiles({Cut}), 1u);
+  EXPECT_EQ(C.totals().Streams, 0u);
+  EXPECT_EQ(C.totals().StreamsIncomplete, 1u);
+  EXPECT_TRUE(C.errors().empty());
+  ASSERT_EQ(C.incomplete().size(), 1u);
+  EXPECT_EQ(C.incomplete()[0].File, Cut);
+  EXPECT_EQ(C.incomplete()[0].Chunks, Reader.chunkCount());
+
+  FleetStore Expected;
+  Collector CE(Opts, Expected);
+  EXPECT_EQ(CE.ingestFiles({Prefix}), 1u);
+  EXPECT_EQ(CE.totals().Streams, 1u);
+  EXPECT_GT(Expected.routineCount(), 0u);
+  EXPECT_EQ(Recovered, Expected);
+
+  std::remove(Cut.c_str());
+  std::remove(Prefix.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -367,16 +439,15 @@ TEST(Collector, RoutineFilterSkipsProvablyExcludedChunks) {
   std::remove(Path.c_str());
 }
 
-/// A stream whose inducing write sits in a chunk the legacy skip rule
-/// drops: routine 1 ("probe", the filter target) reads cell X in two
+/// A stream whose inducing write sits in a chunk with no filtered call:
+/// routine 1 ("probe", the filter target) reads cell X in two
 /// well-separated activations; between them a KernelWrite to X lands in
 /// a chunk full of unrelated "noise" activity (no probe call, no probe
 /// activation in flight). Dropping that chunk loses the kernel write
 /// timestamp, so probe's second read of X degrades from an induced
-/// external first-access to a plain one — the trms undercount the v3
-/// written-shard masks exist to close.
-std::string writeInducedWriteStream(const std::string &Name,
-                                    unsigned Version) {
+/// external first-access to a plain one — the trms undercount the
+/// written-shard masks exist to prevent.
+std::string writeInducedWriteStream(const std::string &Name) {
   constexpr uint64_t X = 5000; // shard key 9 — disjoint from noise below
   std::vector<std::pair<RoutineId, std::string>> Routines = {
       {0, "root"}, {1, "probe"}, {2, "noise"}};
@@ -384,7 +455,6 @@ std::string writeInducedWriteStream(const std::string &Name,
   TraceStreamWriter Writer;
   TraceStreamOptions Opts;
   Opts.ChunkBytes = 1024;
-  Opts.FormatVersion = Version;
   EXPECT_TRUE(Writer.open(Path, Routines, Opts)) << Writer.error();
 
   uint64_t T = 1;
@@ -430,7 +500,7 @@ std::string writeInducedWriteStream(const std::string &Name,
 }
 
 TEST(Collector, WrittenMasksKeepInducedInputExactUnderFiltering) {
-  std::string Path = writeInducedWriteStream("induced_v3", /*Version=*/3);
+  std::string Path = writeInducedWriteStream("induced");
 
   // Ground truth: decode everything.
   FleetStore Full;
@@ -443,7 +513,7 @@ TEST(Collector, WrittenMasksKeepInducedInputExactUnderFiltering) {
   ASSERT_EQ(Truth.InducedExternal, 1u)
       << "the kernel write makes probe's second read an induced access";
 
-  // Filtered ingest on the v3 stream: the inducing chunk's written mask
+  // Filtered ingest: the inducing chunk's written mask
   // intersects the later probe chunk's shard activity, so it is
   // decoded; the post-probe tail still skips. The probe rollup must be
   // exact — including the induced classification.
@@ -460,35 +530,53 @@ TEST(Collector, WrittenMasksKeepInducedInputExactUnderFiltering) {
   std::remove(Path.c_str());
 }
 
-TEST(Collector, LegacyV2StreamsStillSkipAndDocumentTheUndercount) {
-  // The same trace written at v2 has no written masks: the legacy rule
-  // drops the inducing chunk, and the induced-external unit silently
-  // degrades to a plain first-access. This pins down the exact failure
-  // the v3 masks close (total trms stays right — only the induced
-  // classification is at risk under rule (a)+(b)).
-  std::string Path = writeInducedWriteStream("induced_v2", /*Version=*/2);
+TEST(Collector, BitFlipsNeverChangeASkipDecision) {
+  // Filtered ingest skips on the chunk masks, so a flipped mask bit
+  // could silently drop a chunk that matters. Every chunk-header flip
+  // must make the stream corrupt instead; a payload flip either lands in
+  // a skipped chunk (never decoded, so nothing changes) or makes the
+  // stream corrupt. In every case the totals and rollup either equal the
+  // pristine filtered ingest or the stream is reported and merged
+  // nowhere.
+  uint64_t SetupRms = 0, SetupCost = 0;
+  std::string Path =
+      writePhasedStream("flipskip", /*WorkCalls=*/12, &SetupRms, &SetupCost);
+  std::string Bytes = readBytes(Path);
+  CollectorOptions Opts;
+  Opts.RoutineFilter = {"setup"};
+  Opts.ProgramLabel = "prog";
+  FleetStore Pristine;
+  Collector CP(Opts, Pristine);
+  ASSERT_EQ(CP.ingestFiles({Path}), 1u);
+  ASSERT_GT(CP.totals().ChunksSkipped, 0u);
+  ASSERT_GT(CP.totals().ChunksRead, 0u);
 
-  FleetStore Full;
-  Collector CF(CollectorOptions{}, Full);
-  ASSERT_EQ(CF.ingestFiles({Path}), 1u);
-  FleetStore::Key ProbeKey{Full.rollups().begin()->first.Program, "probe"};
-  const RoutineRollup &Truth = Full.rollups().at(ProbeKey);
-  ASSERT_EQ(Truth.InducedExternal, 1u);
-
-  FleetStore Filtered;
-  CollectorOptions FilterOpts;
-  FilterOpts.RoutineFilter = {"probe"};
-  Collector C(FilterOpts, Filtered);
-  ASSERT_EQ(C.ingestFiles({Path}), 1u);
-  EXPECT_GT(C.totals().ChunksSkipped, 0u);
-  const RoutineRollup &Legacy = Filtered.rollups().at(ProbeKey);
-  EXPECT_EQ(Legacy.Activations, Truth.Activations);
-  EXPECT_EQ(Legacy.SumRms, Truth.SumRms);
-  EXPECT_EQ(Legacy.SumTrms, Truth.SumTrms);
-  EXPECT_EQ(Legacy.InducedExternal, 0u)
-      << "legacy streams lose the induced classification when the "
-         "inducing write's chunk is skipped";
-
+  size_t Corrupt = 0, Unchanged = 0;
+  // Flip chunk bytes only: start past the header and stop before the
+  // end marker.
+  size_t HeaderEnd = streamLayout(Bytes).HeaderEnd;
+  for (size_t Pos = HeaderEnd; Pos + 4 < Bytes.size(); ++Pos) {
+    int Bit = static_cast<int>(Pos % 8);
+    std::string Mutated = Bytes;
+    Mutated[Pos] = static_cast<char>(Mutated[Pos] ^ (1 << Bit));
+    writeBytes(Path, Mutated);
+    FleetStore Store;
+    Collector C(Opts, Store);
+    C.ingestFiles({Path});
+    const CollectorTotals &T = C.totals();
+    if (T.StreamsCorrupt == 1) {
+      ++Corrupt;
+      EXPECT_EQ(Store.routineCount(), 0u);
+      continue;
+    }
+    ++Unchanged;
+    ASSERT_EQ(T.Streams, 1u) << "byte " << Pos;
+    EXPECT_EQ(T.ChunksRead, CP.totals().ChunksRead) << "byte " << Pos;
+    EXPECT_EQ(T.ChunksSkipped, CP.totals().ChunksSkipped) << "byte " << Pos;
+    EXPECT_EQ(Store, Pristine) << "byte " << Pos;
+  }
+  EXPECT_GT(Corrupt, 0u);
+  EXPECT_GT(Unchanged, 0u) << "flips in skipped payloads go unread";
   std::remove(Path.c_str());
 }
 

@@ -10,16 +10,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "trace/TraceStream.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -57,6 +60,18 @@ std::string guest(const char *Name) {
   return std::string(ISPROF_GUEST_DIR) + "/" + Name;
 }
 
+std::string readFileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
+}
+
+void writeFileBytes(const std::string &Path, const std::string &Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
 TEST(Driver, ListShowsToolsAndWorkloads) {
   CommandResult R = runDriver("list");
   EXPECT_EQ(R.ExitCode, 0);
@@ -92,9 +107,9 @@ TEST(Driver, MemcheckFindsPlantedErrors) {
 }
 
 TEST(Driver, RecordReplayRoundTrip) {
-  std::string TracePath = ::testing::TempDir() + "isprof_driver_trace.bin";
+  std::string TracePath = ::testing::TempDir() + "isprof_driver_trace.strm";
   CommandResult Record = runDriver("run " + guest("stream.mini") +
-                                   " --record=" + TracePath);
+                                   " --record-stream=" + TracePath);
   EXPECT_EQ(Record.ExitCode, 0) << Record.Output;
   CommandResult Replay =
       runDriver("replay " + TracePath + " --tools=aprof-rms,aprof-trms");
@@ -284,15 +299,12 @@ TEST(Driver, StreamRecordReplayRoundTrip) {
   EXPECT_NE(Record.Output.find("[stream:"), std::string::npos);
   EXPECT_EQ(Section(Record.Output), Section(Direct.Output));
 
-  // Explicit flag and positional auto-detection both replay the stream.
-  for (std::string ReplayArgs :
-       {"replay --replay-stream=" + StreamPath + " --tools=aprof-trms",
-        "replay " + StreamPath + " --tools=aprof-trms"}) {
-    CommandResult Replay = runDriver(ReplayArgs);
-    ASSERT_EQ(Replay.ExitCode, 0) << Replay.Output;
-    EXPECT_NE(Replay.Output.find("[replayed"), std::string::npos);
-    EXPECT_EQ(Section(Replay.Output), Section(Direct.Output)) << ReplayArgs;
-  }
+  CommandResult Replay =
+      runDriver("replay " + StreamPath + " --tools=aprof-trms");
+  ASSERT_EQ(Replay.ExitCode, 0) << Replay.Output;
+  EXPECT_NE(Replay.Output.find("[replayed"), std::string::npos);
+  EXPECT_EQ(Replay.Output.find("incomplete"), std::string::npos);
+  EXPECT_EQ(Section(Replay.Output), Section(Direct.Output));
   std::remove(StreamPath.c_str());
 }
 
@@ -326,14 +338,18 @@ TEST(Driver, StreamingFlagsRejectBadValues) {
     EXPECT_NE(R.Output.find("invalid --batch-capacity"), std::string::npos)
         << Flag << ": " << R.Output;
   }
-  // Replaying a corrupt stream is a clean diagnostic, not a crash.
+  // Replaying a corrupt stream (here: a header whose length and
+  // checksum are garbage) is a clean diagnostic, not a crash.
   std::string BadPath = ::testing::TempDir() + "isprof_bad_stream.strm";
   {
+    static const char Bytes[] = "ISPSTM04\0this is not a valid stream tail";
     std::ofstream Bad(BadPath, std::ios::binary);
-    Bad << "ISPSTM01 this is not a valid stream tail";
+    Bad.write(Bytes, sizeof(Bytes) - 1);
   }
   CommandResult R = runDriver("replay " + BadPath + " --tools=aprof-trms");
-  EXPECT_NE(R.ExitCode, 0);
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("checksum mismatch"), std::string::npos)
+      << R.Output;
   std::remove(BadPath.c_str());
 }
 
@@ -435,36 +451,22 @@ TEST(Driver, ReplayStreamErrorNamesChunk) {
     Writer.append(E);
   ASSERT_TRUE(Writer.close()) << Writer.error();
 
-  // Clobber the first event kind byte of chunk 1 (header = magic +
-  // routine table; chunks are u32 length + count varint + payload).
-  std::string Bytes;
-  {
-    std::ifstream In(Path, std::ios::binary);
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    Bytes = Buffer.str();
-  }
-  size_t Header = 8 + 1 + (1 + 1 + 4); // magic, count, id + len + "work"
-  uint32_t Len0 = 0;
-  for (int I = 0; I != 4; ++I)
-    Len0 |= static_cast<uint32_t>(
-                static_cast<unsigned char>(Bytes[Header + I]))
-            << (8 * I);
-  size_t Chunk1KindByte = Header + 4 + Len0 + 4 + 1;
-  ASSERT_LT(Chunk1KindByte, Bytes.size());
-  Bytes[Chunk1KindByte] = static_cast<char>(0xff);
-  {
-    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-  }
+  // Flip a bit in chunk 1's first payload byte: the stream fails early,
+  // with most of its chunks still to come.
+  std::string Bytes = readFileBytes(Path);
+  isp::StreamLayout Layout = isp::streamLayout(Bytes);
+  ASSERT_GT(Layout.Chunks.size(), 2u);
+  Bytes[Layout.Chunks[1].Payload] ^= 0x40;
+  writeFileBytes(Path, Bytes);
+  std::string Named = "chunk 1:";
 
   for (const char *Extra : {"", " --replay-workers=2"}) {
     CommandResult R =
         runDriver("replay " + Path + " --tools=aprof-trms" + Extra);
     EXPECT_NE(R.ExitCode, 0) << Extra;
-    EXPECT_NE(R.Output.find("chunk 1:"), std::string::npos)
+    EXPECT_NE(R.Output.find(Named), std::string::npos)
         << Extra << ": " << R.Output;
-    EXPECT_NE(R.Output.find("invalid event kind"), std::string::npos)
+    EXPECT_NE(R.Output.find("payload checksum mismatch"), std::string::npos)
         << Extra << ": " << R.Output;
   }
   std::remove(Path.c_str());
@@ -533,10 +535,10 @@ TEST(Driver, DiffDetectsPlantedRegression) {
          "for (var i = 0; i < n; i = i + 1) { a[i] = i; } "
          "print(scan(a, n)); } return 0; }\n";
   }
-  std::string T1 = Dir + "isprof_diff_v1.trc";
-  std::string T2 = Dir + "isprof_diff_v2.trc";
-  ASSERT_EQ(runDriver("run " + V1 + " --record=" + T1).ExitCode, 0);
-  ASSERT_EQ(runDriver("run " + V2 + " --record=" + T2).ExitCode, 0);
+  std::string T1 = Dir + "isprof_diff_v1.strm";
+  std::string T2 = Dir + "isprof_diff_v2.strm";
+  ASSERT_EQ(runDriver("run " + V1 + " --record-stream=" + T1).ExitCode, 0);
+  ASSERT_EQ(runDriver("run " + V2 + " --record-stream=" + T2).ExitCode, 0);
 
   CommandResult Same = runDriver("diff " + T1 + " " + T1);
   EXPECT_EQ(Same.ExitCode, 0) << Same.Output;
@@ -568,7 +570,8 @@ TEST(Driver, CollectRollsUpExplicitStreams) {
 
   CommandResult R = runDriver("collect " + A + " " + B);
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
-  EXPECT_NE(R.Output.find("[collector: 2 stream(s) ingested, 0 failed"),
+  EXPECT_NE(R.Output.find(
+                "[collector: 2 stream(s) ingested, 0 incomplete, 0 corrupt"),
             std::string::npos)
       << R.Output;
   EXPECT_NE(R.Output.find("fleet rollup:"), std::string::npos);
@@ -615,7 +618,8 @@ TEST(Driver, CollectSpoolDirectoryScan) {
 
   CommandResult R = runDriver("collect --spool=" + Spool);
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
-  EXPECT_NE(R.Output.find("[collector: 2 stream(s) ingested, 0 failed"),
+  EXPECT_NE(R.Output.find(
+                "[collector: 2 stream(s) ingested, 0 incomplete, 0 corrupt"),
             std::string::npos)
       << R.Output;
   std::filesystem::remove_all(Spool);
@@ -638,25 +642,167 @@ TEST(Driver, CollectCorruptStreamIsNamedAndIsolated) {
   ASSERT_TRUE(recordStream(guest("stream.mini"), Good));
   ASSERT_TRUE(recordStream(guest("stream.mini"), Bad,
                            " --stream-chunk-bytes=1024"));
-  // Truncate the bad copy mid-chunk; the collector must name the file
-  // and the chunk, fail that stream, and still roll up the good one.
-  std::error_code Ec;
-  uint64_t Size = std::filesystem::file_size(Bad, Ec);
-  ASSERT_FALSE(Ec);
-  std::filesystem::resize_file(Bad, Size / 2, Ec);
-  ASSERT_FALSE(Ec);
+  // Flip a bit mid-file in the bad copy; the collector must name the
+  // file and the chunk, fail that stream, and still roll up the good
+  // one.
+  std::string Bytes = readFileBytes(Bad);
+  Bytes[Bytes.size() / 2] ^= 0x04;
+  writeFileBytes(Bad, Bytes);
 
   CommandResult R = runDriver("collect " + Good + " " + Bad);
   EXPECT_EQ(R.ExitCode, 1) << R.Output;
   EXPECT_NE(R.Output.find("isprof: stream " + Bad + ": chunk "),
             std::string::npos)
       << R.Output;
-  EXPECT_NE(R.Output.find("1 stream(s) ingested, 1 failed"),
+  EXPECT_NE(R.Output.find("1 stream(s) ingested, 0 incomplete, 1 corrupt"),
             std::string::npos)
       << R.Output;
   EXPECT_NE(R.Output.find("consumeStream"), std::string::npos);
   std::remove(Good.c_str());
   std::remove(Bad.c_str());
+}
+
+TEST(Driver, TruncatedStreamIsIncompleteNotFailed) {
+  // A stream cut mid-chunk, as a writer that died leaves it: replay
+  // warns, renders the profile of its complete chunks and exits 0;
+  // collect warns, counts it incomplete and merges those chunks; and
+  // collect --diff warns, since one side of its diff is then a partial
+  // profile.
+  std::string Full = ::testing::TempDir() + "isprof_driver_full.strm";
+  std::string Cut = ::testing::TempDir() + "isprof_driver_cut.strm";
+  ASSERT_TRUE(recordStream(guest("stream.mini"), Full,
+                           " --stream-chunk-bytes=1024"));
+  std::string Bytes = readFileBytes(Full);
+  writeFileBytes(Cut, Bytes.substr(0, Bytes.size() / 2));
+  std::string Warning = "isprof: stream " + Cut + " is incomplete: ";
+
+  CommandResult Replay = runDriver("replay " + Cut + " --tools=aprof-trms");
+  EXPECT_EQ(Replay.ExitCode, 0) << Replay.Output;
+  EXPECT_NE(Replay.Output.find(Warning), std::string::npos) << Replay.Output;
+  EXPECT_NE(Replay.Output.find(" complete chunk(s)"), std::string::npos);
+  EXPECT_NE(Replay.Output.find("[replayed"), std::string::npos);
+  EXPECT_NE(Replay.Output.find("--- aprof-trms ---"), std::string::npos);
+
+  CommandResult Collect = runDriver("collect " + Cut);
+  EXPECT_EQ(Collect.ExitCode, 0) << Collect.Output;
+  EXPECT_NE(Collect.Output.find(Warning), std::string::npos)
+      << Collect.Output;
+  EXPECT_NE(Collect.Output.find("[collector: 0 stream(s) ingested, 1 "
+                                "incomplete, 0 corrupt"),
+            std::string::npos)
+      << Collect.Output;
+  EXPECT_NE(Collect.Output.find("fleet rollup:"), std::string::npos);
+
+  CommandResult Diff = runDriver("collect --diff " + Full + " " + Cut);
+  EXPECT_TRUE(Diff.ExitCode == 0 || Diff.ExitCode == 3) << Diff.Output;
+  EXPECT_NE(Diff.Output.find(Warning), std::string::npos) << Diff.Output;
+  EXPECT_EQ(Diff.Output.find("isprof: stream " + Full), std::string::npos)
+      << Diff.Output;
+  EXPECT_NE(Diff.Output.find("fleet diff:"), std::string::npos)
+      << Diff.Output;
+  std::remove(Full.c_str());
+  std::remove(Cut.c_str());
+}
+
+TEST(Driver, CollectDiffWarnsWhenASideIsIncomplete) {
+  // A diff against a cut stream compares a partial profile; the user
+  // must be told which side it is, and it is not an error.
+  std::string Full = ::testing::TempDir() + "isprof_cdiff_full.strm";
+  std::string Cut = ::testing::TempDir() + "isprof_cdiff_cut.strm";
+  ASSERT_TRUE(recordStream(guest("stream.mini"), Full,
+                           " --stream-chunk-bytes=1024"));
+  std::string Bytes = readFileBytes(Full);
+  writeFileBytes(Cut, Bytes.substr(0, Bytes.size() / 2));
+
+  CommandResult R = runDriver("collect --diff " + Full + " " + Cut);
+  EXPECT_TRUE(R.ExitCode == 0 || R.ExitCode == 3) << R.Output;
+  EXPECT_NE(R.Output.find("isprof: stream " + Cut + " is incomplete: "),
+            std::string::npos)
+      << R.Output;
+  EXPECT_EQ(R.Output.find("isprof: stream " + Full), std::string::npos)
+      << R.Output;
+  EXPECT_NE(R.Output.find("fleet diff:"), std::string::npos) << R.Output;
+  std::remove(Full.c_str());
+  std::remove(Cut.c_str());
+}
+
+TEST(Driver, CollectWatchIngestsAStreamBeingWrittenExactlyOnce) {
+  // A writer appends chunks while `collect --spool --watch` polls. The
+  // collector sees the stream incomplete on many ticks and must retry it
+  // each time rather than drop it; once it is complete it is ingested,
+  // once and in full — the rollup equals a one-shot collect of the
+  // finished file.
+  std::string Spool = ::testing::TempDir() + "isprof_collect_watch";
+  std::filesystem::remove_all(Spool);
+  std::filesystem::create_directories(Spool);
+  std::string Path = Spool + "/live.strm";
+
+  isp::TraceStreamWriter Writer;
+  isp::TraceStreamOptions Opts;
+  Opts.ChunkBytes = 1024;
+  ASSERT_TRUE(Writer.open(Path, {{0, "root"}, {1, "work"}}, Opts))
+      << Writer.error();
+  uint64_t Time = 1;
+  auto emit = [&](isp::EventRecord E) { Writer.append(E); };
+  emit(isp::EventRecord::threadStart(0, Time++, 0));
+  emit(isp::EventRecord::call(0, Time++, 0));
+  auto burst = [&](unsigned Calls) {
+    for (unsigned I = 0; I != Calls; ++I) {
+      emit(isp::EventRecord::call(0, Time++, 1));
+      for (unsigned A = 0; A != 20 + I % 7; ++A) {
+        emit(isp::EventRecord::basicBlock(0, Time++, 1));
+        emit(isp::EventRecord::read(0, Time++, 100 + A, 1));
+      }
+      emit(isp::EventRecord::ret(0, Time++, 1, 0));
+    }
+  };
+  burst(20); // several sealed chunks before the collector starts
+
+  CommandResult Watched;
+  std::thread Collector([&] {
+    Watched = runDriver("collect --spool=" + Spool + " --watch=10");
+  });
+  for (int Round = 0; Round != 8; ++Round) {
+    burst(10);
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  }
+  emit(isp::EventRecord::ret(0, Time++, 0, 0));
+  emit(isp::EventRecord::threadEnd(0, Time++));
+  ASSERT_TRUE(Writer.close()) << Writer.error();
+  uint64_t Events = Writer.eventsWritten();
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  { std::ofstream Stop(Spool + "/collector.stop"); }
+  Collector.join();
+
+  EXPECT_EQ(Watched.ExitCode, 0) << Watched.Output;
+  std::string Totals = "[collector: 1 stream(s) ingested, 0 incomplete, 0 "
+                       "corrupt, ";
+  EXPECT_NE(Watched.Output.find(Totals), std::string::npos)
+      << Watched.Output;
+  auto WithCommas = [](uint64_t V) {
+    std::string Digits = std::to_string(V), Out;
+    for (size_t I = 0; I != Digits.size(); ++I) {
+      if (I != 0 && (Digits.size() - I) % 3 == 0)
+        Out += ',';
+      Out += Digits[I];
+    }
+    return Out;
+  };
+  EXPECT_NE(Watched.Output.find(" " + WithCommas(Events) + " events"),
+            std::string::npos)
+      << Watched.Output;
+
+  // Everything after the banner (the rollup) matches a one-shot collect
+  // of the finished stream.
+  CommandResult Once = runDriver("collect " + Path);
+  ASSERT_EQ(Once.ExitCode, 0) << Once.Output;
+  auto Rollup = [](const std::string &Output) {
+    size_t At = Output.find("fleet rollup:");
+    return At == std::string::npos ? std::string() : Output.substr(At);
+  };
+  EXPECT_FALSE(Rollup(Once.Output).empty()) << Once.Output;
+  EXPECT_EQ(Rollup(Watched.Output), Rollup(Once.Output));
+  std::filesystem::remove_all(Spool);
 }
 
 TEST(Driver, CollectRoutineFilterSkipsChunks) {

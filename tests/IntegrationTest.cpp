@@ -6,7 +6,7 @@
 //
 // End-to-end flows across module boundaries:
 //  - live VM profiling == record-then-replay profiling,
-//  - trace files survive serialization with identical profiles,
+//  - a run recorded to a stream file replays to the identical profile,
 //  - per-thread splitting + timestamped merging (Section 4's offline
 //    pipeline) reproduces the profile for any tie-break policy,
 //  - the complete VM -> trms -> metrics -> report pipeline emits sane
@@ -14,18 +14,21 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "core/Metrics.h"
 #include "core/Report.h"
 #include "core/TrmsProfiler.h"
 #include "instr/Dispatcher.h"
 #include "trace/Synthetic.h"
-#include "trace/TraceFile.h"
 #include "trace/TraceMerger.h"
+#include "trace/TraceStream.h"
 #include "vm/Compiler.h"
 #include "vm/Machine.h"
 #include "workloads/Runner.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 using namespace isp;
 
@@ -79,13 +82,14 @@ std::vector<ActivationRecord> liveProfile(const Program &Prog,
   TrmsProfiler Profiler(Opts);
   EventDispatcher Dispatcher;
   Dispatcher.addTool(&Profiler);
+  WordSink Sink;
   if (TraceOut)
-    Dispatcher.enableRecording();
+    Dispatcher.setRecordSink(&Sink);
   Machine M(Prog, &Dispatcher);
   RunResult R = M.run();
   EXPECT_TRUE(R.Ok) << R.Error;
   if (TraceOut)
-    *TraceOut = Dispatcher.takeRecordedEvents();
+    *TraceOut = decodeEventStream(Sink.Words);
   return Profiler.database().log();
 }
 
@@ -110,21 +114,34 @@ TEST(Integration, LiveEqualsRecordedReplay) {
   EXPECT_EQ(Live, Replayed);
 }
 
-TEST(Integration, TraceFileRoundTripPreservesProfile) {
+TEST(Integration, StreamRoundTripPreservesProfile) {
   DiagnosticEngine Diags;
   auto Prog = compileProgram(PipelineSource, Diags);
   ASSERT_TRUE(Prog.has_value());
 
-  std::vector<EventRecord> Trace;
-  auto Live = liveProfile(*Prog, &Trace);
+  // Record through the stream writer as the dispatcher's sink, with the
+  // live profiler attached to the same run.
+  std::string Path = ::testing::TempDir() + "isprof_integration.strm";
+  TraceStreamWriter Writer;
+  ASSERT_TRUE(Writer.open(Path, Prog->Symbols.entries())) << Writer.error();
+  TrmsProfilerOptions Opts;
+  Opts.KeepActivationLog = true;
+  TrmsProfiler Live(Opts);
+  EventDispatcher Dispatcher;
+  Dispatcher.addTool(&Live);
+  Dispatcher.setRecordSink(&Writer);
+  Machine M(*Prog, &Dispatcher);
+  ASSERT_TRUE(M.run().Ok);
+  ASSERT_TRUE(Writer.close()) << Writer.error();
 
-  TraceData Data;
-  Data.Routines = Prog->Symbols.entries();
-  Data.Events = std::move(Trace);
-  std::string Bytes = serializeTrace(Data);
-  TraceData Back;
-  ASSERT_TRUE(deserializeTrace(Bytes, Back));
-  EXPECT_EQ(replayProfile(Back.Events), Live);
+  TraceStreamReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  EXPECT_TRUE(Reader.complete());
+  EXPECT_EQ(Reader.routines(), Prog->Symbols.entries());
+  TrmsProfiler Replayed(Opts);
+  ASSERT_TRUE(replayTraceStream(Reader, Replayed)) << Reader.error();
+  EXPECT_EQ(Replayed.database().log(), Live.database().log());
+  std::remove(Path.c_str());
 }
 
 TEST(Integration, SplitMergeReplayMatchesForAllPolicies) {

@@ -622,8 +622,8 @@ TEST(ObsCollector, IngestionPublishesMetrics) {
 
   std::map<std::string, uint64_t> Cv = Reg.counterValues();
   EXPECT_EQ(Cv.at("collector.streams"), T.Streams);
-  EXPECT_EQ(Cv.at("collector.streams_failed"), 0u);
-  EXPECT_EQ(Cv.at("collector.decode_errors"), 0u);
+  EXPECT_EQ(Cv.at("collector.streams_incomplete"), 0u);
+  EXPECT_EQ(Cv.at("collector.streams_corrupt"), 0u);
   EXPECT_EQ(Cv.at("collector.chunks_read"), T.ChunksRead);
   EXPECT_EQ(Cv.at("collector.chunks_skipped"), T.ChunksSkipped);
   EXPECT_EQ(Cv.at("collector.events"), T.Events);
@@ -635,9 +635,10 @@ TEST(ObsCollector, IngestionPublishesMetrics) {
   std::string Json = Reg.renderJson();
   std::string Csv = Reg.renderCsv();
   for (const char *Name :
-       {"collector.streams", "collector.chunks_read",
-        "collector.chunks_skipped", "collector.decode_errors",
-        "collector.merge_ns", "collector.store_routines"}) {
+       {"collector.streams", "collector.streams_incomplete",
+        "collector.streams_corrupt", "collector.chunks_read",
+        "collector.chunks_skipped", "collector.merge_ns",
+        "collector.store_routines"}) {
     EXPECT_NE(Json.find(std::string("\"") + Name + "\""), std::string::npos)
         << Name;
     EXPECT_NE(Csv.find(Name), std::string::npos) << Name;

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "core/TrmsProfiler.h"
 #include "instr/Dispatcher.h"
 #include "replay/ParallelReplay.h"
@@ -171,9 +172,9 @@ TEST(ParallelReplay, MidStreamErrorSurfacesAndStillFinishes) {
   std::string Path = tempPath("isprof_preplay_corrupt.strm");
   writeStream(Path, Events, StreamOpts);
 
-  // Clobber the first event's kind byte of chunk 1. Layout: header is
-  // magic (8) + empty routine table (1 varint byte); each chunk is a
-  // u32 length + a 1-byte event-count varint (< 128 events) + payload.
+  // Flip a bit in the first payload byte of chunk 1, so the stream fails
+  // early with dozens of chunks still to come: chunk 0 replays, chunk 1's
+  // payload checksum fails, and nothing after it is replayed.
   std::string Bytes;
   {
     std::ifstream In(Path, std::ios::binary);
@@ -181,15 +182,9 @@ TEST(ParallelReplay, MidStreamErrorSurfacesAndStillFinishes) {
     Buffer << In.rdbuf();
     Bytes = Buffer.str();
   }
-  size_t Header = 8 + 1;
-  uint32_t Len0 = 0;
-  for (int I = 0; I != 4; ++I)
-    Len0 |= static_cast<uint32_t>(
-                static_cast<unsigned char>(Bytes[Header + I]))
-            << (8 * I);
-  size_t Chunk1KindByte = Header + 4 + Len0 + 4 + 1;
-  ASSERT_LT(Chunk1KindByte, Bytes.size());
-  Bytes[Chunk1KindByte] = static_cast<char>(0xff);
+  StreamLayout Layout = streamLayout(Bytes);
+  ASSERT_GT(Layout.Chunks.size(), 20u);
+  Bytes[Layout.Chunks[1].Payload] ^= 0x01;
   {
     std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
     Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
@@ -203,11 +198,14 @@ TEST(ParallelReplay, MidStreamErrorSurfacesAndStillFinishes) {
   uint64_t Replayed = 0;
   EXPECT_FALSE(parallelReplayStream(Reader, Profiler, nullptr, ReplayOpts,
                                     nullptr, &Replayed));
-  EXPECT_NE(Reader.error().find("invalid event kind"), std::string::npos)
+  EXPECT_NE(Reader.error().find("payload checksum mismatch"),
+            std::string::npos)
       << Reader.error();
-  // Chunk 0 replayed before the failure, and onFinish ran: the partial
-  // report renders.
+  EXPECT_EQ(Reader.errorChunk(), 1u);
+  // Chunk 0 replayed before the failure and the rest never did, and
+  // onFinish ran: the partial report renders.
   EXPECT_GT(Replayed, 0u);
+  EXPECT_LT(Replayed, Events.size());
   EXPECT_FALSE(renderToolReport(Profiler, nullptr).empty());
   std::remove(Path.c_str());
 }
@@ -239,7 +237,7 @@ TEST(ParallelReplay, StatsReflectTheRun) {
 
 TEST(ParallelReplay, ActivityMasksSkipUntouchedWorkers) {
   // Every memory access lands in shadow chunk key 0 → shard 0 →
-  // worker 0; with the v2 masks, workers 1..3 skip every chunk.
+  // worker 0; with the chunk masks, workers 1..3 skip every chunk.
   std::vector<EventRecord> Events;
   uint64_t Time = 1;
   Events.push_back(EventRecord::threadStart(0, Time++, 0));
@@ -258,7 +256,6 @@ TEST(ParallelReplay, ActivityMasksSkipUntouchedWorkers) {
 
   TraceStreamReader Probe;
   ASSERT_TRUE(Probe.open(Path)) << Probe.error();
-  ASSERT_TRUE(Probe.hasActivityMasks());
   size_t ChunkCount = Probe.chunkCount();
   ASSERT_GT(ChunkCount, 2u);
 
@@ -268,18 +265,9 @@ TEST(ParallelReplay, ActivityMasksSkipUntouchedWorkers) {
   std::string Report = parallelReport(Path, Opts, 4, 0, &Stats);
   // Workers 1..3 are provably untouched by every chunk.
   EXPECT_EQ(Stats.ChunksSkipped, 3 * ChunkCount);
-
-  // The identical events in a v1 stream: no masks, nothing skipped,
-  // and the report is still identical.
-  std::string V1Path = tempPath("isprof_preplay_skip_v1.strm");
-  TraceStreamOptions V1Opts = StreamOpts;
-  V1Opts.FormatVersion = 1;
-  writeStream(V1Path, Events, V1Opts);
-  ParallelReplayStats V1Stats;
-  EXPECT_EQ(parallelReport(V1Path, Opts, 4, 0, &V1Stats), Report);
-  EXPECT_EQ(V1Stats.ChunksSkipped, 0u);
+  // Skipping is bookkeeping only: the report is the serial one.
+  EXPECT_EQ(Report, serialReport(Path, Opts));
   std::remove(Path.c_str());
-  std::remove(V1Path.c_str());
 }
 
 } // namespace

@@ -6,8 +6,10 @@
 ///
 /// \file
 /// Helpers shared by the test suites: a fluent trace builder for
-/// hand-constructed executions (the paper's figures), and shorthands for
-/// running profilers over traces and fetching per-routine results.
+/// hand-constructed executions (the paper's figures), a record sink that
+/// keeps a run's event stream in memory, a trace-stream layout walker,
+/// and shorthands for running
+/// profilers over traces and fetching per-routine results.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,8 @@
 #include "instr/Dispatcher.h"
 #include "trace/Event.h"
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 namespace isp {
@@ -69,6 +73,58 @@ private:
   std::vector<EventRecord> Events;
   uint64_t Clock = 0;
 };
+
+/// Record sink that appends every delivered batch's packed words: the
+/// compacted event stream of a run, in memory.
+class WordSink : public EventDispatcher::RecordSink {
+public:
+  void recordBatch(const Event *Batch, size_t Count) override {
+    Words.insert(Words.end(), Batch, Batch + Count);
+  }
+  std::vector<Event> Words;
+};
+
+/// Byte offsets of a well-formed trace stream (trace/TraceStream.h), for
+/// tests that cut or corrupt one at a chosen place.
+struct StreamLayout {
+  struct Chunk {
+    size_t Begin = 0;   ///< the chunk header
+    size_t Payload = 0; ///< the first payload byte
+    size_t End = 0;     ///< one past the payload CRC
+  };
+  size_t HeaderEnd = 0;
+  std::vector<Chunk> Chunks;
+  size_t EndMarker = 0; ///< the u32 0 that close() writes
+};
+
+/// Walks the header and the chunk headers of the stream in \p Bytes.
+inline StreamLayout streamLayout(const std::string &Bytes) {
+  auto U32At = [&](size_t Pos) {
+    uint32_t V = 0;
+    for (int I = 0; I != 4; ++I)
+      V |= static_cast<uint32_t>(static_cast<unsigned char>(Bytes[Pos + I]))
+           << (8 * I);
+    return V;
+  };
+  StreamLayout L;
+  // Magic, u32 table length, u32 CRC; the table; its u32 CRC.
+  L.HeaderEnd = 8 + 4 + 4 + U32At(8) + 4;
+  size_t Pos = L.HeaderEnd;
+  while (uint32_t Len = U32At(Pos)) {
+    StreamLayout::Chunk C;
+    C.Begin = Pos;
+    Pos += 4;
+    for (int Field = 0; Field != 10; ++Field) // count and nine mask words
+      while (static_cast<unsigned char>(Bytes[Pos++]) & 0x80)
+        ;
+    C.Payload = Pos + 4;
+    C.End = C.Payload + Len + 4;
+    L.Chunks.push_back(C);
+    Pos = C.End;
+  }
+  L.EndMarker = Pos;
+  return L;
+}
 
 /// Runs \p ProfilerT over \p Events with activation logging and returns
 /// the database.

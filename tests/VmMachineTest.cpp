@@ -6,6 +6,7 @@
 
 #include "vm/Machine.h"
 
+#include "TestUtil.h"
 #include "instr/Dispatcher.h"
 #include "support/Format.h"
 #include "tools/NulTool.h"
@@ -451,12 +452,13 @@ TEST(Machine, EventStreamIsWellFormed) {
   auto Prog = compileProgram(Source, Diags);
   ASSERT_TRUE(Prog.has_value());
   EventDispatcher Dispatcher;
-  Dispatcher.enableRecording();
+  WordSink Sink;
+  Dispatcher.setRecordSink(&Sink);
   Machine M(*Prog, &Dispatcher);
   RunResult R = M.run();
   ASSERT_TRUE(R.Ok) << R.Error;
 
-  const std::vector<EventRecord> Events = Dispatcher.decodedRecordedEvents();
+  const std::vector<EventRecord> Events = decodeEventStream(Sink.Words);
   ASSERT_FALSE(Events.empty());
   // Times strictly increase; call/return balance per thread; memory ops
   // happen inside activations (except spawn-argument publication).
@@ -717,12 +719,13 @@ TEST(MachineGolden, EventStreamsMatchPinnedDigests) {
     if (G.BatchCapacity != 0) {
       ASSERT_TRUE(Dispatcher.setBatchCapacity(G.BatchCapacity));
     }
-    Dispatcher.enableRecording();
+    WordSink Sink;
+    Dispatcher.setRecordSink(&Sink);
     MachineOptions Opts;
     Opts.SliceLength = G.SliceLength;
     Machine M(*Prog, &Dispatcher, Opts);
     RunResult R = M.run();
-    const std::vector<Event> &Words = Dispatcher.recordedEvents();
+    const std::vector<Event> &Words = Sink.Words;
     uint64_t Digest = streamDigest(Words, R.Output);
 
     std::array<uint64_t, NumGoldenStats> Stats = goldenStats(R.Stats);
