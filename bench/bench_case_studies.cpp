@@ -107,9 +107,9 @@ void reportFigure9(const char *Title, const ProfileDatabase &Db,
 int main(int Argc, char **Argv) {
   OptionParser Options("Reproduces the Section 3 case studies "
                        "(Figures 4-9)");
-  Options.addOption("clients", "4", "dbserver client threads / vips "
-                                    "workers");
-  Options.addOption("size", "112", "workload scale");
+  Options.addIntOption("clients", "4", 1, MaxGuestThreads,
+                       "dbserver client threads / vips workers");
+  Options.addIntOption("size", "112", 0, INT64_MAX, "workload scale");
   if (!Options.parse(Argc, Argv))
     return 1;
 

@@ -85,8 +85,8 @@ void printCurveHeader(const char *Metric) {
 int main(int Argc, char **Argv) {
   OptionParser Options("Reproduces Figures 15-19: trms-vs-rms profile "
                        "richness, input volume, induced-input splits");
-  Options.addOption("threads", "4", "worker threads");
-  Options.addOption("size", "80", "problem scale");
+  Options.addIntOption("threads", "4", 1, MaxGuestThreads, "worker threads");
+  Options.addIntOption("size", "80", 0, INT64_MAX, "problem scale");
   if (!Options.parse(Argc, Argv))
     return 1;
 

@@ -46,7 +46,7 @@ static std::vector<std::string> splitList(const std::string &Csv) {
 
 int main(int Argc, char **Argv) {
   OptionParser Options("Reproduces Figure 14: overhead vs thread count");
-  Options.addOption("size", "72", "problem scale");
+  Options.addIntOption("size", "72", 0, INT64_MAX, "problem scale");
   Options.addOption("benchmarks", "md,ilbdc,fma3d,smithwa",
                     "comma-separated workload names");
   if (!Options.parse(Argc, Argv))

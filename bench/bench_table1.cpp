@@ -37,9 +37,11 @@ using namespace isp;
 int main(int Argc, char **Argv) {
   OptionParser Options("Reproduces Table 1: tool comparison on the "
                        "OMP2012-like benchmarks");
-  Options.addOption("threads", "4", "OpenMP-style worker threads");
-  Options.addOption("size", "256", "problem scale");
-  Options.addOption("repeats", "3", "timing repetitions (keep fastest)");
+  Options.addIntOption("threads", "4", 1, MaxGuestThreads,
+                       "OpenMP-style worker threads");
+  Options.addIntOption("size", "256", 0, INT64_MAX, "problem scale");
+  Options.addIntOption("repeats", "3", 1, INT64_MAX,
+                       "timing repetitions (keep fastest)");
   if (!Options.parse(Argc, Argv))
     return 1;
 

@@ -34,10 +34,8 @@
 #include "instr/Dispatcher.h"
 #include "obs/Obs.h"
 #include "obs/TraceLog.h"
-#include "replay/ParallelReplay.h"
 #include "support/CommandLine.h"
 #include "support/Format.h"
-#include "shadow/ShardedShadow.h"
 #include "tools/ToolRegistry.h"
 #include "trace/TraceStream.h"
 #include "vm/Compiler.h"
@@ -50,7 +48,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -82,24 +79,12 @@ int usage() {
       "  list                  list tools and workloads\n"
       "\n"
       "common options:\n"
-      "  --tools=a,b,c   comma-separated tool list (default aprof-trms)\n"
-      "  --parallel-tools[=N]  deliver event batches to tools from N\n"
-      "                  worker threads (default: auto); tools pinned to\n"
-      "                  the dispatch thread fall back to serial delivery\n"
+      "  --tools=a,b,c   comma-separated tool list (default aprof-trms);\n"
+      "                  two or more tools fan out to worker threads,\n"
+      "                  each reporting exactly as it would alone\n"
       "  --record-stream=PATH   (run, workload) stream the event trace\n"
       "                  to a chunked file as it happens: bounded memory\n"
       "                  regardless of trace length\n"
-      "  --replay-workers=N     (replay, --tools=aprof-trms only)\n"
-      "                  partition shadow updates across N worker\n"
-      "                  threads with epoch-barrier coordination; the\n"
-      "                  report is byte-identical to serial replay.\n"
-      "                  0 = serial; env ISPROF_REPLAY_WORKERS engages\n"
-      "                  the same mode when the flag is absent\n"
-      "  --shadow-shards=N      shard the aprof-trms global wts shadow\n"
-      "                  by address range (power of two; default 1).\n"
-      "                  Profiles are identical across shard counts\n"
-      "  --batch-capacity=N     dispatcher pending-batch size (power of\n"
-      "                  two in [16, 65536]; default 256)\n"
       "  --verify-bytecode  statically verify the compiled bytecode;\n"
       "                  refuse to run on failure\n"
       "  --lint          static lockset lint: report globals shared\n"
@@ -114,7 +99,8 @@ int usage() {
       "                  ; noescape comments from the static analysis\n"
       "  --slice=N       scheduler quantum in instructions (default 150)\n"
       "  --seed=N        guest rand()/device seed (default 42)\n"
-      "  --threads=N --size=N   (workload) parameters\n"
+      "  --threads=N --size=N   (workload) parameters (threads >= 1,\n"
+      "                  size >= 0)\n"
       "  --stats=json|csv|off   dump pipeline self-metrics (default off)\n"
       "  --stats-out=PATH       write --stats output to PATH, not stdout\n"
       "  --stats-interval=MS    (with --stats=json --stats-out=PATH)\n"
@@ -155,129 +141,19 @@ bool readFile(const std::string &Path, std::string &Out) {
   return true;
 }
 
-/// Decodes --parallel-tools[=N]. Returns false (after printing a
-/// diagnostic) on a malformed value. On success *WorkersOut is -1 when
-/// the flag is absent, otherwise the worker count (0 = auto-size).
-bool parseParallelTools(const OptionParser &Options, int *WorkersOut) {
-  std::string V = Options.getString("parallel-tools");
-  if (V == "false") { // flag not given
-    *WorkersOut = -1;
-    return true;
-  }
-  if (V == "true" || V.empty()) { // bare --parallel-tools
-    *WorkersOut = 0;
-    return true;
-  }
-  char *End = nullptr;
-  long N = std::strtol(V.c_str(), &End, 10);
-  if (End == V.c_str() || *End != '\0' || N < 1 ||
-      N > static_cast<long>(EventDispatcher::MaxParallelWorkers)) {
-    std::fprintf(stderr,
-                 "isprof: invalid --parallel-tools value '%s' (expected a "
-                 "worker count in [1, %u])\n",
-                 V.c_str(), EventDispatcher::MaxParallelWorkers);
-    return false;
-  }
-  *WorkersOut = static_cast<int>(N);
-  return true;
-}
-
-/// Arms \p Dispatcher with the validated --parallel-tools request.
-void applyParallelTools(EventDispatcher &Dispatcher, int Workers) {
-  if (Workers >= 0)
-    Dispatcher.setParallelWorkers(static_cast<unsigned>(Workers));
-}
-
-/// The validated --replay-workers request. Explicit distinguishes the
-/// command-line flag (incompatible configurations are hard errors) from
-/// the ISPROF_REPLAY_WORKERS environment fallback (which engages only
-/// when the replay is eligible, so a suite-wide export — the TSan CI
-/// job — cannot break monolithic-trace or multi-tool invocations).
-struct ReplayWorkersRequest {
-  unsigned Workers = 0;
-  bool Explicit = false;
-};
-
-/// Decodes --replay-workers / ISPROF_REPLAY_WORKERS. Returns false
-/// (after printing a diagnostic) on a malformed explicit value.
-bool parseReplayWorkers(const OptionParser &Options,
-                        ReplayWorkersRequest *Out) {
-  std::string V = Options.getString("replay-workers");
-  if (V.empty()) {
-    if (const char *Env = std::getenv("ISPROF_REPLAY_WORKERS")) {
-      char *End = nullptr;
-      long N = std::strtol(Env, &End, 10);
-      if (End != Env && *End == '\0' && N >= 0 &&
-          N <= static_cast<long>(ParallelReplayOptions::MaxWorkers))
-        Out->Workers = static_cast<unsigned>(N);
-    }
-    return true;
-  }
-  char *End = nullptr;
-  long N = std::strtol(V.c_str(), &End, 10);
-  if (End == V.c_str() || *End != '\0' || N < 0 ||
-      N > static_cast<long>(ParallelReplayOptions::MaxWorkers)) {
-    std::fprintf(stderr,
-                 "isprof: invalid --replay-workers value '%s' (expected a "
-                 "worker count in [0, %u])\n",
-                 V.c_str(), ParallelReplayOptions::MaxWorkers);
-    return false;
-  }
-  Out->Workers = static_cast<unsigned>(N);
-  Out->Explicit = true;
-  return true;
-}
-
-/// Decodes a power-of-two numeric option in [\p Min, \p Max]. Returns
-/// false (after printing a diagnostic) on a malformed or out-of-range
-/// value; the option's default must itself be valid.
-bool parsePow2Option(const OptionParser &Options, const char *Name,
-                     uint64_t Min, uint64_t Max, uint64_t *Out) {
-  std::string V = Options.getString(Name);
-  char *End = nullptr;
-  unsigned long long N = std::strtoull(V.c_str(), &End, 10);
-  if (End == V.c_str() || *End != '\0' || N < Min || N > Max ||
-      (N & (N - 1)) != 0) {
-    std::fprintf(stderr,
-                 "isprof: invalid --%s value '%s' (expected a power of "
-                 "two in [%llu, %llu])\n",
-                 Name, V.c_str(), static_cast<unsigned long long>(Min),
-                 static_cast<unsigned long long>(Max));
-    return false;
-  }
-  *Out = N;
-  return true;
-}
-
-/// Decodes --shadow-shards into \p ToolOpts.
-bool parseShadowShards(const OptionParser &Options, ToolOptions *ToolOpts) {
-  uint64_t N = 1;
-  if (!parsePow2Option(Options, "shadow-shards", 1,
-                       ShardedShadow<uint64_t>::MaxShards, &N))
-    return false;
-  ToolOpts->ShadowShards = static_cast<unsigned>(N);
-  return true;
-}
-
-/// Decodes --batch-capacity and applies it to \p Dispatcher.
-bool applyBatchCapacity(const OptionParser &Options,
-                        EventDispatcher &Dispatcher) {
-  uint64_t N = EventDispatcher::DefaultBatchCapacity;
-  if (!parsePow2Option(Options, "batch-capacity",
-                       EventDispatcher::MinBatchCapacity,
-                       EventDispatcher::MaxBatchCapacity, &N))
-    return false;
-  Dispatcher.setBatchCapacity(static_cast<size_t>(N));
-  return true;
-}
-
-/// Decodes --stream-chunk-bytes into \p StreamOpts.
+/// Decodes --stream-chunk-bytes into \p StreamOpts. The parser checked
+/// its range; returns false (after a diagnostic) unless it is a power
+/// of two.
 bool parseStreamChunkBytes(const OptionParser &Options,
                            TraceStreamOptions *StreamOpts) {
-  uint64_t N = TraceStreamOptions().ChunkBytes;
-  if (!parsePow2Option(Options, "stream-chunk-bytes", 1024, uint64_t(1) << 20,
-                       &N))
+  int64_t N = Options.getInt("stream-chunk-bytes");
+  if ((N & (N - 1)) != 0) {
+    std::fprintf(stderr,
+                 "isprof: invalid --stream-chunk-bytes value '%lld' "
+                 "(expected a power of two)\n",
+                 static_cast<long long>(N));
     return false;
+  }
   StreamOpts->ChunkBytes = static_cast<size_t>(N);
   return true;
 }
@@ -317,12 +193,10 @@ struct ToolSet {
 
   /// Creates every requested tool; returns false on an unknown name.
   /// With \p Contexts set, each tool is wrapped in a ContextAdapter so
-  /// profiles are keyed by full call paths. \p ToolOpts carries the
-  /// construction knobs (--shadow-shards).
-  bool create(const std::string &Csv, bool Contexts = false,
-              ToolOptions ToolOpts = ToolOptions()) {
+  /// profiles are keyed by full call paths.
+  bool create(const std::string &Csv, bool Contexts = false) {
     for (const std::string &Name : splitList(Csv)) {
-      std::unique_ptr<Tool> T = makeTool(Name, ToolOpts);
+      std::unique_ptr<Tool> T = makeTool(Name);
       if (!T) {
         std::fprintf(stderr, "isprof: unknown tool '%s'; known tools:",
                      Name.c_str());
@@ -443,26 +317,16 @@ int commandRun(OptionParser &Options) {
   if (int Code = runStaticChecks(*Prog, Options))
     return Code;
 
-  ToolOptions ToolOpts;
-  if (!parseShadowShards(Options, &ToolOpts))
-    return 2;
   ToolSet Tools;
-  if (!Tools.create(Options.getString("tools"), Options.getFlag("contexts"),
-                    ToolOpts))
+  if (!Tools.create(Options.getString("tools"), Options.getFlag("contexts")))
     return 2;
 
   MachineOptions MachineOpts;
   MachineOpts.SliceLength = static_cast<uint64_t>(Options.getInt("slice"));
   MachineOpts.Seed = static_cast<uint64_t>(Options.getInt("seed"));
 
-  int ParallelWorkers = -1;
-  if (!parseParallelTools(Options, &ParallelWorkers))
-    return 2;
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
-  applyParallelTools(Dispatcher, ParallelWorkers);
-  if (!applyBatchCapacity(Options, Dispatcher))
-    return 2;
   std::string StreamPath = Options.getString("record-stream");
   TraceStreamWriter StreamWriter;
   if (!StreamPath.empty()) {
@@ -539,44 +403,6 @@ bool openStream(const std::string &Path, TraceStreamReader &Reader,
   return true;
 }
 
-/// Parallel stream replay (--replay-workers=N): the shard-partitioned
-/// engine with epoch barriers, producing a report byte-identical to the
-/// serial path.
-int replayStreamParallel(const std::string &StreamPath,
-                         const ToolOptions &ToolOpts, unsigned Workers) {
-  TraceStreamReader Reader;
-  SymbolTable Symbols;
-  if (!openStream(StreamPath, Reader, Symbols))
-    return 1;
-
-  TrmsProfilerOptions ProfOpts;
-  ProfOpts.ShadowShards = ToolOpts.ShadowShards;
-  if (ProfOpts.ShadowShards <= 1) {
-    // --shadow-shards left at its default: auto-size so each worker
-    // owns several shards (profiles are identical across shard counts,
-    // so this only affects load balance).
-    unsigned Shards = 1;
-    while (Shards < 4 * Workers && Shards < 64)
-      Shards <<= 1;
-    ProfOpts.ShadowShards = Shards;
-  }
-  ParallelReplayProfiler Profiler(ProfOpts);
-
-  ParallelReplayOptions ReplayOpts;
-  ReplayOpts.Workers = Workers;
-  if (!parallelReplayStream(Reader, Profiler, &Symbols, ReplayOpts)) {
-    std::fprintf(stderr, "isprof: stream %s: %s\n", StreamPath.c_str(),
-                 Reader.error().c_str());
-    return 1;
-  }
-  std::printf("[replayed %s events from %zu chunk(s)]\n\n",
-              formatWithCommas(Reader.eventCount()).c_str(),
-              Reader.chunkCount());
-  std::printf("--- %s ---\n%s\n", Profiler.name().c_str(),
-              renderToolReport(Profiler, &Symbols).c_str());
-  return 0;
-}
-
 int commandReplay(OptionParser &Options) {
   if (Options.positional().size() < 2) {
     std::fprintf(stderr, "isprof replay: missing stream file\n");
@@ -584,39 +410,11 @@ int commandReplay(OptionParser &Options) {
   }
   const std::string &StreamPath = Options.positional()[1];
 
-  ToolOptions ToolOpts;
-  if (!parseShadowShards(Options, &ToolOpts))
-    return 2;
-  ReplayWorkersRequest ReplayReq;
-  if (!parseReplayWorkers(Options, &ReplayReq))
-    return 2;
-  int ParallelWorkers = -1;
-  if (!parseParallelTools(Options, &ParallelWorkers))
-    return 2;
-  // Parallel replay partitions the trms shadow state itself, so it
-  // applies only with exactly the aprof-trms tool and no tool-level
-  // fan-out. An explicit incompatible request is an error; the
-  // environment fallback silently stays serial.
-  bool ParallelEligible =
-      Options.getString("tools") == "aprof-trms" && ParallelWorkers < 0;
-  if (ReplayReq.Workers > 0 && ReplayReq.Explicit && !ParallelEligible) {
-    std::fprintf(stderr,
-                 "isprof: --replay-workers requires --tools=aprof-trms "
-                 "and no --parallel-tools\n");
-    return 2;
-  }
-  if (ReplayReq.Workers > 0 && ParallelEligible)
-    return replayStreamParallel(StreamPath, ToolOpts, ReplayReq.Workers);
-
   ToolSet Tools;
-  if (!Tools.create(Options.getString("tools"), /*Contexts=*/false,
-                    ToolOpts))
+  if (!Tools.create(Options.getString("tools")))
     return 2;
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
-  applyParallelTools(Dispatcher, ParallelWorkers);
-  if (!applyBatchCapacity(Options, Dispatcher))
-    return 2;
 
   // Bounded-memory replay: one chunk at a time through the batching
   // hot path.
@@ -713,21 +511,11 @@ int commandWorkload(OptionParser &Options) {
     optimizeProgram(*Prog);
   if (int Code = runStaticChecks(*Prog, Options))
     return Code;
-  ToolOptions ToolOpts;
-  if (!parseShadowShards(Options, &ToolOpts))
-    return 2;
   ToolSet Tools;
-  if (!Tools.create(Options.getString("tools"), /*Contexts=*/false,
-                    ToolOpts))
-    return 2;
-  int ParallelWorkers = -1;
-  if (!parseParallelTools(Options, &ParallelWorkers))
+  if (!Tools.create(Options.getString("tools")))
     return 2;
   EventDispatcher Dispatcher;
   Tools.attach(Dispatcher);
-  applyParallelTools(Dispatcher, ParallelWorkers);
-  if (!applyBatchCapacity(Options, Dispatcher))
-    return 2;
   std::string StreamPath = Options.getString("record-stream");
   TraceStreamWriter StreamWriter;
   if (!StreamPath.empty()) {
@@ -846,39 +634,13 @@ void reportIncompleteStreams(const collect::Collector &C, size_t From) {
     warnIncomplete(Cut[I].File, Cut[I].Chunks);
 }
 
-/// Decodes the collect-specific numeric options. Returns false (after a
-/// diagnostic) on malformed values.
-bool parseCollectOptions(const OptionParser &Options,
-                         collect::CollectorOptions *Opts, unsigned *WatchMs,
-                         unsigned *TopN) {
-  std::string V = Options.getString("ingest-workers");
-  char *End = nullptr;
-  long N = std::strtol(V.c_str(), &End, 10);
-  if (End == V.c_str() || *End != '\0' || N < 0 ||
-      N > static_cast<long>(collect::CollectorOptions::MaxWorkers)) {
-    std::fprintf(stderr,
-                 "isprof: invalid --ingest-workers value '%s' (expected a "
-                 "worker count in [0, %u])\n",
-                 V.c_str(), collect::CollectorOptions::MaxWorkers);
-    return false;
-  }
-  Opts->Workers = static_cast<unsigned>(N);
-  Opts->RoutineFilter = splitList(Options.getString("routine"));
-  Opts->ProgramLabel = Options.getString("program");
-  long Watch = Options.getInt("watch");
-  if (Watch < 0) {
-    std::fprintf(stderr, "isprof: invalid --watch value (expected a "
-                         "non-negative millisecond count)\n");
-    return false;
-  }
-  *WatchMs = static_cast<unsigned>(Watch);
-  long Top = Options.getInt("top");
-  if (Top < 1) {
-    std::fprintf(stderr, "isprof: invalid --top value (expected >= 1)\n");
-    return false;
-  }
-  *TopN = static_cast<unsigned>(Top);
-  return true;
+/// The collect-specific options (ranges were checked by the parser).
+collect::CollectorOptions collectOptions(const OptionParser &Options) {
+  collect::CollectorOptions Opts;
+  Opts.Workers = static_cast<unsigned>(Options.getInt("ingest-workers"));
+  Opts.RoutineFilter = splitList(Options.getString("routine"));
+  Opts.ProgramLabel = Options.getString("program");
+  return Opts;
 }
 
 /// `isprof collect --diff A B`: ingests both stream sets (each a file
@@ -913,10 +675,9 @@ int collectDiff(OptionParser &Options, const collect::CollectorOptions &Opts) {
 }
 
 int commandCollect(OptionParser &Options) {
-  collect::CollectorOptions Opts;
-  unsigned WatchMs = 0, TopN = 10;
-  if (!parseCollectOptions(Options, &Opts, &WatchMs, &TopN))
-    return 2;
+  collect::CollectorOptions Opts = collectOptions(Options);
+  auto WatchMs = static_cast<unsigned>(Options.getInt("watch"));
+  auto TopN = static_cast<unsigned>(Options.getInt("top"));
   if (Options.getFlag("diff"))
     return collectDiff(Options, Opts);
 
@@ -1056,24 +817,9 @@ int runCommand(const std::string &Command, OptionParser &Options) {
 int main(int Argc, char **Argv) {
   OptionParser Options("isprof: input-sensitive profiling toolkit");
   Options.addOption("tools", "aprof-trms", "comma-separated tool list");
-  Options.addFlag("parallel-tools",
-                  "deliver event batches to tools from worker threads; "
-                  "--parallel-tools=N picks the worker count (default: "
-                  "auto). Reports are identical to serial delivery");
   Options.addOption("record-stream", "",
                     "stream the event trace to this path as a chunked "
                     "file while the guest runs (bounded memory)");
-  Options.addOption("replay-workers", "",
-                    "(replay) partition stream replay across N shadow-"
-                    "shard workers (streams + --tools=aprof-trms only; "
-                    "0 = serial)");
-  Options.addOption("shadow-shards", "1",
-                    "shard the aprof-trms global wts shadow by address "
-                    "range (power of two; 1 = unsharded). aprof-rms "
-                    "keeps per-thread shadows only and is unaffected");
-  Options.addOption("batch-capacity", "256",
-                    "dispatcher pending-batch capacity (power of two "
-                    "in [16, 65536])");
   Options.addOption("html", "", "write an HTML profile report (needs an "
                                 "aprof tool in --tools)");
   Options.addFlag("contexts", "profile per calling context instead of "
@@ -1100,10 +846,13 @@ int main(int Argc, char **Argv) {
   Options.addOption("growth-source", "",
                     "(collect) compile this guest source and cross-check "
                     "its static growth classes against the rollup");
-  Options.addOption("slice", "150", "scheduler quantum (instructions)");
-  Options.addOption("seed", "42", "guest rand()/device seed");
-  Options.addOption("threads", "4", "workload thread count");
-  Options.addOption("size", "64", "workload problem scale");
+  Options.addIntOption("slice", "150", 1, INT64_MAX,
+                       "scheduler quantum (instructions)");
+  Options.addIntOption("seed", "42", 0, INT64_MAX,
+                       "guest rand()/device seed");
+  Options.addIntOption("threads", "4", 1, MaxGuestThreads,
+                       "workload thread count");
+  Options.addIntOption("size", "64", 0, INT64_MAX, "workload problem scale");
   Options.addOption("stats", "off",
                     "dump pipeline self-metrics: json, csv, or off");
   Options.addOption("stats-out", "",
@@ -1111,24 +860,26 @@ int main(int Argc, char **Argv) {
   Options.addOption("stats-interval", "",
                     "with --stats=json --stats-out=PATH: append a live "
                     "JSONL snapshot to PATH.live every N milliseconds");
-  Options.addOption("stream-chunk-bytes", "65536",
-                    "(--record-stream) target chunk payload size in "
-                    "bytes (power of two in [1024, 1048576])");
+  Options.addIntOption("stream-chunk-bytes", "65536", 1024, 1 << 20,
+                       "(--record-stream) target chunk payload size in "
+                       "bytes (power of two in [1024, 1048576])");
   Options.addOption("spool", "",
                     "(collect) also ingest every stream file in this "
                     "directory");
-  Options.addOption("watch", "0",
-                    "(collect, with --spool) poll the spool every N "
-                    "milliseconds until <spool>/collector.stop appears");
-  Options.addOption("ingest-workers", "0",
-                    "(collect) concurrent ingestion threads (0 = auto)");
+  Options.addIntOption("watch", "0", 0, INT32_MAX,
+                       "(collect, with --spool) poll the spool every N "
+                       "milliseconds until <spool>/collector.stop appears");
+  Options.addIntOption("ingest-workers", "0", 0,
+                       collect::CollectorOptions::MaxWorkers,
+                       "(collect) concurrent ingestion threads (0 = auto)");
   Options.addOption("routine", "",
                     "(collect) comma-separated routine filter; provably "
                     "excluded chunks are skipped via v2 bitmaps");
   Options.addOption("program", "",
                     "(collect) program label for ingested streams "
                     "(default: each file's stem)");
-  Options.addOption("top", "10", "(collect) rollup rows to print");
+  Options.addIntOption("top", "10", 1, INT32_MAX,
+                       "(collect) rollup rows to print");
   Options.addOption("curve", "",
                     "(collect) also print this routine's full per-rms "
                     "cost curve");
@@ -1159,9 +910,8 @@ int main(int Argc, char **Argv) {
   std::string StatsIntervalStr = Options.getString("stats-interval");
   unsigned StatsIntervalMs = 0;
   if (!StatsIntervalStr.empty()) {
-    char *End = nullptr;
-    long N = std::strtol(StatsIntervalStr.c_str(), &End, 10);
-    if (End == StatsIntervalStr.c_str() || *End != '\0' || N < 1) {
+    int64_t N = 0;
+    if (!parseInteger(StatsIntervalStr, 1, INT32_MAX, &N)) {
       std::fprintf(stderr,
                    "isprof: invalid --stats-interval value '%s' (expected "
                    "a positive millisecond count)\n",

@@ -38,8 +38,10 @@ lookupProfile(const std::map<RoutineId, RoutineProfile> &Merged,
 int main(int Argc, char **Argv) {
   OptionParser Options("MySQL-like case study: input-sensitive profiles "
                        "of a table server under concurrent clients");
-  Options.addOption("clients", "4", "concurrent client threads");
-  Options.addOption("size", "96", "workload scale (table sizes, queries)");
+  Options.addIntOption("clients", "4", 1, MaxGuestThreads,
+                       "concurrent client threads");
+  Options.addIntOption("size", "96", 0, INT64_MAX,
+                       "workload scale (table sizes, queries)");
   if (!Options.parse(Argc, Argv))
     return 1;
 

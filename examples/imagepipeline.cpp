@@ -28,8 +28,10 @@ using namespace isp;
 int main(int Argc, char **Argv) {
   OptionParser Options("vips-like case study: image pipeline with "
                        "write-behind thread");
-  Options.addOption("workers", "4", "pipeline worker threads");
-  Options.addOption("size", "96", "workload scale (bands, tiles)");
+  Options.addIntOption("workers", "4", 1, MaxGuestThreads,
+                       "pipeline worker threads");
+  Options.addIntOption("size", "96", 0, INT64_MAX,
+                       "workload scale (bands, tiles)");
   if (!Options.parse(Argc, Argv))
     return 1;
 

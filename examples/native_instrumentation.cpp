@@ -140,7 +140,7 @@ private:
 int main(int Argc, char **Argv) {
   OptionParser Options("Profiles a host C++ binary search tree through "
                        "manual instrumentation");
-  Options.addOption("keys", "4000", "keys to insert");
+  Options.addIntOption("keys", "4000", 0, INT64_MAX, "keys to insert");
   if (!Options.parse(Argc, Argv))
     return 1;
   int64_t Keys = Options.getInt("keys");

@@ -44,7 +44,8 @@ static void report(const char *Title, const ProfiledRun &Run,
 int main(int Argc, char **Argv) {
   OptionParser Options("Reproduces the paper's Figure 2 (producer-"
                        "consumer) and Figure 3 (buffered read) examples");
-  Options.addOption("items", "64", "values produced / iterations");
+  Options.addIntOption("items", "64", 0, INT64_MAX,
+                       "values produced / iterations");
   if (!Options.parse(Argc, Argv))
     return 1;
   WorkloadParams Params;

@@ -34,8 +34,8 @@ int main(int Argc, char **Argv) {
   OptionParser Options("Records a workload trace to disk, then profiles "
                        "it offline");
   Options.addOption("workload", "dedup", "workload name (see registry)");
-  Options.addOption("threads", "4", "worker threads");
-  Options.addOption("size", "48", "workload scale");
+  Options.addIntOption("threads", "4", 1, MaxGuestThreads, "worker threads");
+  Options.addIntOption("size", "48", 0, INT64_MAX, "workload scale");
   Options.addOption("out", "/tmp/isprof_example.strm", "stream file path");
   if (!Options.parse(Argc, Argv))
     return 1;

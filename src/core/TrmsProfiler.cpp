@@ -26,26 +26,26 @@ inline bool wtsKernel(uint64_t Packed) { return (Packed & 1) != 0; }
 
 } // namespace
 
-template <typename ShadowT, typename WtsShadowT>
-TrmsProfilerT<ShadowT, WtsShadowT>::TrmsProfilerT(TrmsProfilerOptions Opts)
+template <typename ShadowT>
+TrmsProfilerT<ShadowT>::TrmsProfilerT(TrmsProfilerOptions Opts)
     : Options(Opts) {
   Database.setKeepLog(Options.KeepActivationLog);
   // Shard the global wts when the shadow type supports it (ShadowShards
   // is validated upstream; an invalid count falls back to one shard).
-  if constexpr (requires(WtsShadowT &W) { W.setShardCount(1u); })
+  if constexpr (requires(ShadowT &W) { W.setShardCount(1u); })
     Wts.setShardCount(Options.ShadowShards);
 }
 
-template <typename ShadowT, typename WtsShadowT> TrmsProfilerT<ShadowT, WtsShadowT>::~TrmsProfilerT() = default;
+template <typename ShadowT> TrmsProfilerT<ShadowT>::~TrmsProfilerT() = default;
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onStart(const SymbolTable *Symbols) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onStart(const SymbolTable *Symbols) {
   (void)Symbols;
 }
 
-template <typename ShadowT, typename WtsShadowT>
-typename TrmsProfilerT<ShadowT, WtsShadowT>::ThreadState &
-TrmsProfilerT<ShadowT, WtsShadowT>::stateSlow(ThreadId Tid) {
+template <typename ShadowT>
+typename TrmsProfilerT<ShadowT>::ThreadState &
+TrmsProfilerT<ShadowT>::stateSlow(ThreadId Tid) {
   if (Tid >= Threads.size())
     Threads.resize(static_cast<size_t>(Tid) + 1);
   std::unique_ptr<ThreadState> &Slot = Threads[Tid];
@@ -63,16 +63,16 @@ TrmsProfilerT<ShadowT, WtsShadowT>::stateSlow(ThreadId Tid) {
   return *Slot;
 }
 
-template <typename ShadowT, typename WtsShadowT>
-typename TrmsProfilerT<ShadowT, WtsShadowT>::ThreadState &
-TrmsProfilerT<ShadowT, WtsShadowT>::state(ThreadId Tid) {
+template <typename ShadowT>
+typename TrmsProfilerT<ShadowT>::ThreadState &
+TrmsProfilerT<ShadowT>::state(ThreadId Tid) {
   if (CurrentState && HaveCurrentTid && CurrentTid == Tid)
     return *CurrentState;
   return stateSlow(Tid);
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::noteThread(ThreadId Tid) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::noteThread(ThreadId Tid) {
   // The merged trace is serialized; a change of running thread is a
   // thread switch and bumps the global counter (Figure 11). Detecting
   // switches here (rather than relying on explicit ThreadSwitch events)
@@ -85,20 +85,20 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::noteThread(ThreadId Tid) {
   bumpCount();
 }
 
-template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, WtsShadowT>::bumpCount() {
+template <typename ShadowT> void TrmsProfilerT<ShadowT>::bumpCount() {
   if (Count + 1 >= Options.CounterLimit)
     renumber();
   ++Count;
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onThreadStart(ThreadId Tid, ThreadId Parent) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onThreadStart(ThreadId Tid, ThreadId Parent) {
   noteThread(Tid);
   state(Tid);
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onThreadEnd(ThreadId Tid) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onThreadEnd(ThreadId Tid) {
   noteThread(Tid);
   ThreadState &TS = state(Tid);
   // Unwind any activations still pending when the thread dies, so their
@@ -115,8 +115,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onThreadEnd(ThreadId Tid) {
   Threads[Tid].reset();
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onCall(ThreadId Tid, RoutineId Rtn) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onCall(ThreadId Tid, RoutineId Rtn) {
   noteThread(Tid);
   ThreadState &TS = state(Tid);
   bumpCount();
@@ -127,8 +127,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onCall(ThreadId Tid, RoutineId Rtn) {
   TS.Stack.push_back(F);
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::popFrame(ThreadId Tid, ThreadState &TS) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::popFrame(ThreadId Tid, ThreadState &TS) {
   assert(!TS.Stack.empty() && "return with empty shadow stack");
   Frame Top = TS.Stack.back();
   TS.Stack.pop_back();
@@ -159,8 +159,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::popFrame(ThreadId Tid, ThreadState &TS)
   }
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onReturn(ThreadId Tid, RoutineId Rtn) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onReturn(ThreadId Tid, RoutineId Rtn) {
   noteThread(Tid);
   ThreadState &TS = state(Tid);
   if (TS.Stack.empty())
@@ -169,14 +169,14 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onReturn(ThreadId Tid, RoutineId Rtn) {
   popFrame(Tid, TS);
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onBasicBlock(ThreadId Tid, uint64_t N) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onBasicBlock(ThreadId Tid, uint64_t N) {
   noteThread(Tid);
   state(Tid).BbCount += N;
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onRead(ThreadId Tid, Addr A, uint64_t Cells) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onRead(ThreadId Tid, Addr A, uint64_t Cells) {
   noteThread(Tid);
   ThreadState &TS = state(Tid);
   Database.GlobalReads += Cells;
@@ -252,16 +252,16 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onRead(ThreadId Tid, Addr A, uint64_t C
   });
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onWrite(ThreadId Tid, Addr A, uint64_t Cells) {
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onWrite(ThreadId Tid, Addr A, uint64_t Cells) {
   noteThread(Tid);
   ThreadState &TS = state(Tid);
   TS.Ts.fillRange(A, Cells, Count);
   Wts.fillRange(A, Cells, packWts(Count, /*Kernel=*/false));
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onKernelRead(ThreadId Tid, Addr A,
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onKernelRead(ThreadId Tid, Addr A,
                                           uint64_t Cells) {
   // The OS reads guest memory to send it to a device; Figure 12 treats
   // this as a read performed by the thread, as if the system call were a
@@ -269,8 +269,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onKernelRead(ThreadId Tid, Addr A,
   onRead(Tid, A, Cells);
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::onKernelWrite(ThreadId Tid, Addr A,
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::onKernelWrite(ThreadId Tid, Addr A,
                                            uint64_t Cells) {
   noteThread(Tid);
   // Figure 12: a buffer load from a device must not count as thread input
@@ -294,24 +294,24 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::onKernelWrite(ThreadId Tid, Addr A,
 // replay rests on these staying in lockstep with the serial handlers.
 //===----------------------------------------------------------------------===//
 
-template <typename ShadowT, typename WtsShadowT>
-unsigned TrmsProfilerT<ShadowT, WtsShadowT>::replayShardCount() const {
-  if constexpr (requires(const WtsShadowT &W) { W.shardCount(); })
+template <typename ShadowT>
+unsigned TrmsProfilerT<ShadowT>::replayShardCount() const {
+  if constexpr (requires(const ShadowT &W) { W.shardCount(); })
     return Wts.shardCount();
   else
     return 1;
 }
 
-template <typename ShadowT, typename WtsShadowT>
-size_t TrmsProfilerT<ShadowT, WtsShadowT>::replayShardOf(Addr A) const {
-  if constexpr (requires(const WtsShadowT &W) { W.shardOf(A); })
+template <typename ShadowT>
+size_t TrmsProfilerT<ShadowT>::replayShardOf(Addr A) const {
+  if constexpr (requires(const ShadowT &W) { W.shardOf(A); })
     return Wts.shardOf(A);
   else
     return 0;
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::replayPrepareMemOp(const EventRecord &E,
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::replayPrepareMemOp(const EventRecord &E,
                                                             TrmsReplayOp &Op) {
   noteThread(E.Tid);
   ThreadState &TS = state(E.Tid);
@@ -337,8 +337,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::replayPrepareMemOp(const EventRecord &E
   Op.Count = Count;
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::replayApplyMemOp(
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::replayApplyMemOp(
     const TrmsReplayOp &Op, Addr A, uint64_t Cells, TrmsReplayDeltas &D) {
   ThreadState &TS = *static_cast<ThreadState *>(Op.State);
   switch (Op.Kind) {
@@ -414,8 +414,8 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::replayApplyMemOp(
   });
 }
 
-template <typename ShadowT, typename WtsShadowT>
-void TrmsProfilerT<ShadowT, WtsShadowT>::replayMergeDeltas(
+template <typename ShadowT>
+void TrmsProfilerT<ShadowT>::replayMergeDeltas(
     TrmsReplayDeltas &D) {
   for (ThreadId Tid = 0; Tid != D.Threads.size(); ++Tid) {
     typename TrmsReplayDeltas::ThreadDeltas &TD = D.Threads[Tid];
@@ -444,7 +444,7 @@ void TrmsProfilerT<ShadowT, WtsShadowT>::replayMergeDeltas(
   D.PlainFirstAccesses = 0;
 }
 
-template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, WtsShadowT>::onFinish() {
+template <typename ShadowT> void TrmsProfilerT<ShadowT>::onFinish() {
   for (ThreadId Tid = 0; Tid != Threads.size(); ++Tid) {
     ThreadState *TS = Threads[Tid].get();
     if (!TS)
@@ -460,7 +460,7 @@ template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, Wts
     R.counter("shadow.wts.chunks_allocated").add(Wts.chunksAllocated());
     R.counter("shadow.wts.cache_hits").add(Wts.cacheHits());
     R.counter("shadow.wts.cache_misses").add(Wts.cacheMisses());
-    if constexpr (requires(WtsShadowT &W) { W.setShardCount(1u); }) {
+    if constexpr (requires(ShadowT &W) { W.setShardCount(1u); }) {
       R.gauge("shadow.wts.shards").noteMax(Wts.shardCount());
       R.counter("shadow.wts.shard_epochs").add(Wts.totalEpochs());
     }
@@ -468,13 +468,13 @@ template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, Wts
   }
 }
 
-template <typename ShadowT, typename WtsShadowT>
-uint64_t TrmsProfilerT<ShadowT, WtsShadowT>::memoryFootprintBytes() const {
+template <typename ShadowT>
+uint64_t TrmsProfilerT<ShadowT>::memoryFootprintBytes() const {
   return std::max(PeakFootprintBytes, currentFootprintBytes());
 }
 
-template <typename ShadowT, typename WtsShadowT>
-uint64_t TrmsProfilerT<ShadowT, WtsShadowT>::currentFootprintBytes() const {
+template <typename ShadowT>
+uint64_t TrmsProfilerT<ShadowT>::currentFootprintBytes() const {
   uint64_t Total = Wts.totalBytes();
   for (const std::unique_ptr<ThreadState> &TS : Threads) {
     if (!TS)
@@ -491,7 +491,7 @@ uint64_t TrmsProfilerT<ShadowT, WtsShadowT>::currentFootprintBytes() const {
   return Total;
 }
 
-template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, WtsShadowT>::renumber() {
+template <typename ShadowT> void TrmsProfilerT<ShadowT>::renumber() {
   ++Renumberings;
 
   // Collect the timestamps of all pending activations across all threads
@@ -554,7 +554,7 @@ template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, Wts
     uint64_t Q = rankOf(wtsTime(WCell));
     WCell = packWts(3 * Q + 1, wtsKernel(WCell));
   };
-  if constexpr (requires(WtsShadowT &W) { W.setShardCount(1u); })
+  if constexpr (requires(ShadowT &W) { W.setShardCount(1u); })
     Wts.renumberNonZero(RewriteWts);
   else
     Wts.forEachNonZero(RewriteWts);
@@ -578,8 +578,5 @@ template <typename ShadowT, typename WtsShadowT> void TrmsProfilerT<ShadowT, Wts
 namespace isp {
 template class TrmsProfilerT<ThreeLevelShadow<uint64_t>>;
 template class TrmsProfilerT<DenseShadow<uint64_t>>;
-template class TrmsProfilerT<ThreeLevelShadow<uint64_t>,
-                             ShardedShadow<uint64_t>>;
-template class TrmsProfilerT<ShardedShadow<uint64_t>,
-                             ShardedShadow<uint64_t>>;
+template class TrmsProfilerT<ShardedShadow<uint64_t>>;
 } // namespace isp

@@ -55,8 +55,8 @@ struct TrmsProfilerOptions {
   /// Retain every ActivationRecord (for tests and raw dumps).
   bool KeepActivationLog = false;
   /// Shard count for the global wts shadow (power of two; meaningful
-  /// only when the wts shadow type is sharded — ShardedTrmsProfiler /
-  /// --shadow-shards). 1 keeps the single-shard layout.
+  /// only when the wts shadow type is sharded — ParallelReplayProfiler).
+  /// 1 keeps the single-shard layout.
   unsigned ShadowShards = 1;
 };
 
@@ -119,13 +119,12 @@ struct TrmsReplayDeltas {
   }
 };
 
-/// The profiler, parameterized over the shadow-memory implementation so
-/// the three-level-table vs dense-map ablation can run the identical
-/// algorithm, and separately over the global wts shadow type so the wts
-/// can be range-sharded (ShardedShadow) while the per-thread ts shadows
-/// keep the plain layout. Use the TrmsProfiler alias for the paper's
-/// configuration and ShardedTrmsProfiler for the sharded wts.
-template <typename ShadowT, typename WtsShadowT = ShadowT>
+/// The profiler, parameterized over the shadow-memory implementation
+/// (for both the per-thread ts and the global wts shadows) so the
+/// three-level-table vs dense-map ablation can run the identical
+/// algorithm. Use the TrmsProfiler alias for the paper's configuration
+/// and ParallelReplayProfiler for range-sharded (ShardedShadow) shadows.
+template <typename ShadowT>
 class TrmsProfilerT : public Tool {
 public:
   explicit TrmsProfilerT(TrmsProfilerOptions Opts = TrmsProfilerOptions());
@@ -245,7 +244,7 @@ private:
 
   TrmsProfilerOptions Options;
   /// Global write-timestamp shadow; cells pack (time << 1) | kernelBit.
-  WtsShadowT Wts;
+  ShadowT Wts;
   uint64_t Count = 1;
   /// Flat thread table keyed by ThreadId; dead threads leave null slots.
   std::vector<std::unique_ptr<ThreadState>> Threads;
@@ -263,23 +262,15 @@ private:
 
 using TrmsProfiler = TrmsProfilerT<ThreeLevelShadow<uint64_t>>;
 using DenseTrmsProfiler = TrmsProfilerT<DenseShadow<uint64_t>>;
-/// Per-thread ts shadows stay plain; the global wts is range-sharded
-/// (TrmsProfilerOptions::ShadowShards selects the shard count).
-using ShardedTrmsProfiler =
-    TrmsProfilerT<ThreeLevelShadow<uint64_t>, ShardedShadow<uint64_t>>;
 /// Both the per-thread ts shadows and the global wts range-sharded with
 /// the same shard count — the configuration parallel replay requires,
 /// so every shadow write of a memory op stays inside the shard the op
 /// was routed by (replay/ParallelReplay.h).
-using ParallelReplayProfiler =
-    TrmsProfilerT<ShardedShadow<uint64_t>, ShardedShadow<uint64_t>>;
+using ParallelReplayProfiler = TrmsProfilerT<ShardedShadow<uint64_t>>;
 
 extern template class TrmsProfilerT<ThreeLevelShadow<uint64_t>>;
 extern template class TrmsProfilerT<DenseShadow<uint64_t>>;
-extern template class TrmsProfilerT<ThreeLevelShadow<uint64_t>,
-                                    ShardedShadow<uint64_t>>;
-extern template class TrmsProfilerT<ShardedShadow<uint64_t>,
-                                    ShardedShadow<uint64_t>>;
+extern template class TrmsProfilerT<ShardedShadow<uint64_t>>;
 
 } // namespace isp
 

@@ -8,28 +8,7 @@
 
 #include "obs/Obs.h"
 
-#include <cstdlib>
-
 using namespace isp;
-
-/// Worker request from the ISPROF_PARALLEL_TOOLS environment variable:
-/// -1 when unset/invalid, otherwise a worker count (0 = auto). Parsed
-/// once; the CI ThreadSanitizer job uses it to force parallel delivery
-/// through every dispatcher the test suite constructs.
-static int envParallelWorkers() {
-  static const int Cached = [] {
-    const char *V = std::getenv("ISPROF_PARALLEL_TOOLS");
-    if (!V || !*V)
-      return -1;
-    char *End = nullptr;
-    long N = std::strtol(V, &End, 10);
-    if (End == V || *End != '\0' || N < 0 ||
-        N > static_cast<long>(EventDispatcher::MaxParallelWorkers))
-      return -1;
-    return static_cast<int>(N);
-  }();
-  return Cached;
-}
 
 EventDispatcher::~EventDispatcher() {
   // finish() normally joins; guard against early destruction (error
@@ -55,8 +34,9 @@ void EventDispatcher::start(const SymbolTable *Symbols) {
   }
   for (Tool *T : Tools)
     T->onStart(Symbols);
-  int Request = RequestedWorkers >= 0 ? RequestedWorkers : envParallelWorkers();
-  if (Request >= 0 && !Tools.empty())
+  // A lone tool stays serial: handing its batches to a worker measured
+  // no faster.
+  if (Tools.size() >= 2)
     startParallel();
 }
 
@@ -84,16 +64,11 @@ void EventDispatcher::startParallel() {
   if (Units == 0)
     return; // every tool is pinned to the dispatch thread — stay serial
 
-  int Request = RequestedWorkers >= 0 ? RequestedWorkers : envParallelWorkers();
-  unsigned N = static_cast<unsigned>(Request);
-  if (N == 0) { // auto-size
-    unsigned Hw = std::thread::hardware_concurrency();
-    N = Hw == 0 ? 2 : Hw;
-  }
+  unsigned N = std::thread::hardware_concurrency();
+  if (N == 0) // unknown
+    N = 2;
   if (N > Units)
     N = static_cast<unsigned>(Units);
-  if (N > MaxParallelWorkers)
-    N = MaxParallelWorkers;
 
   Workers.clear();
   for (unsigned I = 0; I != N; ++I) {
@@ -112,9 +87,9 @@ void EventDispatcher::startParallel() {
     Workers[Next++ % N]->ToolIdx.push_back(I);
 
   Ring.clear();
-  Ring.resize(InitialRingSlots);
+  Ring.resize(RingSlots);
   for (BatchSlot &Slot : Ring)
-    Slot.Words.reset(new Event[Capacity]);
+    Slot.Words.reset(new Event[BatchCapacity]);
 
   PublishedSeq = 0;
   ShuttingDown = false;
@@ -123,9 +98,6 @@ void EventDispatcher::startParallel() {
   BackpressureBlocks = 0;
   BackpressureWaitNs = 0;
   MaxQueueDepth = 0;
-  RingSlotsUsed = Ring.size();
-  RingGrowths = 0;
-  BlocksAtLastGrowth = 0;
   WorkerCountUsed = N;
   ParallelActive = true;
   for (auto &W : Workers)
@@ -169,7 +141,7 @@ void EventDispatcher::workerLoop(WorkerState &W) {
       if (PublishedSeq == W.NextSeq)
         return; // shutting down and fully drained
       Seq = W.NextSeq;
-      BatchSlot &Slot = Ring[Seq % Ring.size()];
+      BatchSlot &Slot = Ring[Seq % RingSlots];
       Words = Slot.Words.get();
       Count = Slot.Count;
       Records = Slot.Records;
@@ -184,7 +156,7 @@ void EventDispatcher::workerLoop(WorkerState &W) {
     {
       std::lock_guard<std::mutex> Lock(ParMutex);
       ++W.NextSeq;
-      if (--Ring[Seq % Ring.size()].Remaining == 0 && PublisherWaiting)
+      if (--Ring[Seq % RingSlots].Remaining == 0 && PublisherWaiting)
         SlotFree.notify_one();
     }
   }
@@ -205,48 +177,19 @@ void EventDispatcher::publishBatch(FlushCause Cause) {
   bool WakeWorkers;
   {
     std::unique_lock<std::mutex> Lock(ParMutex);
-    size_t SlotIdx = PublishedSeq % Ring.size();
-    if (Ring[SlotIdx].Remaining != 0) {
-      // Backpressure: every slot is in flight.
+    BatchSlot &Slot = Ring[PublishedSeq % RingSlots];
+    if (Slot.Remaining != 0) {
+      // Backpressure: every slot is in flight. Block until the slowest
+      // worker frees this one.
       ++BackpressureBlocks;
       uint64_t WaitStart = obs::nowNs();
       PublisherWaiting = true;
-      if (Ring.size() < MaxRingSlots &&
-          BackpressureBlocks - BlocksAtLastGrowth >= RingGrowthThreshold) {
-        // Adaptive growth: blocking keeps happening at this size, so
-        // double the ring. Resizing remaps every seq % size slot
-        // assignment, which is only safe with nothing in flight — wait
-        // for the workers to drain completely (a one-off stall, paid at
-        // most log2(Max/Initial) times per run), then resize under the
-        // lock.
-        SlotFree.wait(Lock, [&] {
-          uint64_t MinSeq = PublishedSeq;
-          for (const auto &W : Workers)
-            MinSeq = W->NextSeq < MinSeq ? W->NextSeq : MinSeq;
-          return MinSeq == PublishedSeq;
-        });
-        size_t NewSize = Ring.size() * 2;
-        if (NewSize > MaxRingSlots)
-          NewSize = MaxRingSlots;
-        size_t OldSize = Ring.size();
-        Ring.resize(NewSize);
-        for (size_t I = OldSize; I != NewSize; ++I)
-          Ring[I].Words.reset(new Event[Capacity]);
-        RingSlotsUsed = NewSize;
-        ++RingGrowths;
-        BlocksAtLastGrowth = BackpressureBlocks;
-        SlotIdx = PublishedSeq % Ring.size();
-      } else {
-        // Steady-state backpressure: block until the slowest worker
-        // frees this slot.
-        SlotFree.wait(Lock, [&] { return Ring[SlotIdx].Remaining == 0; });
-      }
+      SlotFree.wait(Lock, [&] { return Slot.Remaining == 0; });
       PublisherWaiting = false;
       BackpressureWaitNs += obs::nowNs() - WaitStart;
     }
     // Double-buffer swap: the filled Pending buffer becomes the slot's
     // batch; the slot's drained buffer becomes the next Pending.
-    BatchSlot &Slot = Ring[SlotIdx];
     std::swap(Slot.Words, Pending);
     Slot.Count = PendingWords;
     Slot.Records = PendingRecords;
@@ -364,8 +307,6 @@ void EventDispatcher::publishStats() const {
     R.counter("dispatcher.parallel.backpressure_wait_ns")
         .add(BackpressureWaitNs);
     R.gauge("dispatcher.parallel.max_queue_depth").noteMax(MaxQueueDepth);
-    R.gauge("dispatcher.parallel.ring_slots").noteMax(RingSlotsUsed);
-    R.counter("dispatcher.parallel.ring_growths").add(RingGrowths);
   }
   for (size_t I = 0; I != ToolObs.size(); ++I) {
     const ToolObsState &S = ToolObs[I];

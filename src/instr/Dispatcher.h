@@ -54,10 +54,12 @@
 /// is equivalent by construction.
 ///
 /// **Parallel tool fan-out.** Batches are immutable once flushed, so
-/// independent tools can consume them from worker threads
-/// (setParallelWorkers / --parallel-tools). Flushed batches are
-/// published into a bounded ring of batch slots; each registered tool
-/// is assigned one fixed worker and consumes every batch in publication
+/// independent tools can consume them from worker threads. start()
+/// engages fan-out on its own, exactly when two or more tools are
+/// attached and at least one of them may run on a worker; a single tool
+/// is always delivered serially. Flushed batches are published into a
+/// fixed ring of RingSlots batch slots; each registered tool is
+/// assigned one fixed worker and consumes every batch in publication
 /// order there, preserving Tool.h's no-reentrancy guarantee. The
 /// pending array is double-buffered through the ring — publication
 /// swaps the filled buffer into a drained slot and takes that slot's
@@ -98,36 +100,20 @@ class SymbolTable;
 /// Fans events out to registered tools. Tools are not owned.
 class EventDispatcher {
 public:
-  /// Default pending-batch capacity in stream words; a flush is forced
-  /// when fewer than Event::MaxWordsPerRecord free words remain. Large
-  /// enough to amortize delivery, small enough to stay cache-resident.
-  /// Tunable per dispatcher via setBatchCapacity (--batch-capacity in
-  /// the driver).
-  static constexpr size_t DefaultBatchCapacity = 256;
-  /// Valid setBatchCapacity range (powers of two only, so the sweep
-  /// benchmark and the driver flag share one validation rule).
-  static constexpr size_t MinBatchCapacity = 16;
-  static constexpr size_t MaxBatchCapacity = 65536;
+  /// Pending-batch capacity in stream words; a flush is forced when
+  /// fewer than Event::MaxWordsPerRecord free words remain. Large enough
+  /// to amortize delivery, small enough to stay cache-resident.
+  static constexpr size_t BatchCapacity = 256;
 
-  /// Initial number of in-flight batch slots in parallel mode. Bounds
-  /// the publisher's lead over the slowest worker (backpressure) and
-  /// the memory pinned in undrained batches. When backpressure trips
-  /// repeatedly the ring grows adaptively, doubling up to MaxRingSlots
-  /// (see publishBatch); ringSlots() reports the size in use.
-  static constexpr size_t InitialRingSlots = 8;
-  static constexpr size_t MaxRingSlots = 64;
-  /// Backpressure blocks tolerated since the last resize before the
-  /// ring doubles again.
-  static constexpr uint64_t RingGrowthThreshold = 4;
-
-  /// Upper bound on --parallel-tools worker counts (sanity, not tuning).
-  static constexpr unsigned MaxParallelWorkers = 64;
+  /// In-flight batch slots in parallel mode. Bounds the publisher's lead
+  /// over the slowest worker (backpressure) and the memory pinned in
+  /// undrained batches: 64 x 256 words x 16 B = 256 KiB.
+  static constexpr size_t RingSlots = 64;
 
   /// Why a (non-empty) batch was delivered. Capacity is the steady
   /// state; Explicit covers dispatch()-forced order preservation and
   /// manual flush() calls; Finish is the end-of-run drain. The
-  /// distribution is the tuning signal for BatchCapacity (see
-  /// ROADMAP's hot-path follow-ups).
+  /// distribution shows how full delivered batches run.
   enum class FlushCause : uint8_t { Capacity, Explicit, Finish };
   static constexpr size_t NumFlushCauses = 3;
 
@@ -151,34 +137,6 @@ public:
   /// sink is not owned and must outlive the run.
   void setRecordSink(RecordSink *S) { Sink = S; }
 
-  /// Resizes the pending batch. \p N must be a power of two in
-  /// [MinBatchCapacity, MaxBatchCapacity]; returns false (leaving the
-  /// capacity unchanged) otherwise or when events are already buffered —
-  /// call before the run starts.
-  bool setBatchCapacity(size_t N) {
-    if (N < MinBatchCapacity || N > MaxBatchCapacity || (N & (N - 1)) != 0 ||
-        PendingWords != 0 || ParallelActive)
-      return false;
-    Capacity = N;
-    Pending.reset(new Event[Capacity]);
-    return true;
-  }
-  size_t batchCapacity() const { return Capacity; }
-
-  /// Requests parallel tool fan-out with \p N workers (0 = auto-size to
-  /// the eligible tool count, capped at the hardware concurrency). Must
-  /// be called before start(). Parallel delivery actually engages only
-  /// when at least one registered tool's affinity permits a worker;
-  /// otherwise the dispatcher silently stays serial. When never called,
-  /// the ISPROF_PARALLEL_TOOLS environment variable (a worker count; 0 =
-  /// auto) supplies the request — the CI ThreadSanitizer job uses it to
-  /// force parallel delivery through the whole test suite.
-  void setParallelWorkers(unsigned N) {
-    RequestedWorkers = static_cast<int>(N > MaxParallelWorkers
-                                            ? MaxParallelWorkers
-                                            : N);
-  }
-
   /// True while worker threads are consuming batches (between start()
   /// and finish() in an engaged parallel run).
   bool parallelActive() const { return ParallelActive; }
@@ -188,14 +146,10 @@ public:
   uint64_t backpressureBlocks() const { return BackpressureBlocks; }
   /// Peak number of published-but-undrained batches.
   uint64_t maxQueueDepth() const { return MaxQueueDepth; }
-  /// Ring size used by the current/most recent parallel run (the
-  /// adaptive growth's final answer; InitialRingSlots if it never grew,
-  /// 0 if parallel mode never engaged).
-  size_t ringSlots() const { return RingSlotsUsed; }
-  /// Times the ring doubled under repeated backpressure.
-  uint64_t ringGrowths() const { return RingGrowths; }
 
-  /// Signals the start of a run. Forwards to Tool::onStart.
+  /// Signals the start of a run. Forwards to Tool::onStart, then engages
+  /// parallel fan-out when two or more tools are attached and at least
+  /// one may run on a worker.
   void start(const SymbolTable *Symbols);
   /// Signals the end of a run. Flushes pending events, then forwards to
   /// Tool::onFinish.
@@ -233,7 +187,7 @@ public:
               }
               ++AccessMerges;
               if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord >
-                               Capacity))
+                               BatchCapacity))
                 flushImpl(FlushCause::Capacity);
               return;
             }
@@ -263,7 +217,8 @@ public:
       BbRun = {true, E.Tid, LastMain};
     PendingWords += N;
     ++PendingRecords;
-    if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord > Capacity))
+    if (ISP_UNLIKELY(PendingWords + Event::MaxWordsPerRecord >
+                     BatchCapacity))
       flushImpl(FlushCause::Capacity);
   }
 
@@ -361,9 +316,10 @@ private:
 
   void flushImpl(FlushCause Cause);
 
-  /// Partitions tools by affinity, sizes the worker pool, allocates the
-  /// batch ring, and spawns the workers. Leaves ParallelActive false
-  /// when no registered tool may run on a worker.
+  /// Partitions tools by affinity, sizes the worker pool to
+  /// min(schedulable units, hardware concurrency), allocates the batch
+  /// ring, and spawns the workers. Leaves ParallelActive false when no
+  /// registered tool may run on a worker.
   void startParallel();
   /// Parallel-mode flush body: delivers to DispatchThread tools
   /// synchronously, then publishes the pending buffer into the ring
@@ -385,10 +341,9 @@ private:
   void publishStats() const;
 
   std::vector<Tool *> Tools;
-  /// Pending batch of packed words, sized Capacity (enqueue flushes
-  /// when fewer than MaxWordsPerRecord free words remain).
-  size_t Capacity = DefaultBatchCapacity;
-  std::unique_ptr<Event[]> Pending{new Event[DefaultBatchCapacity]};
+  /// Pending batch of packed words, sized BatchCapacity (enqueue
+  /// flushes when fewer than MaxWordsPerRecord free words remain).
+  std::unique_ptr<Event[]> Pending{new Event[BatchCapacity]};
   size_t PendingWords = 0;
   /// Logical events among the pending words (delivery accounting).
   size_t PendingRecords = 0;
@@ -415,20 +370,15 @@ private:
 
   //===--- Parallel fan-out state (untouched in serial mode) -------------===//
 
-  /// -1 = never requested (environment may still force it); >= 0 = the
-  /// worker count passed to setParallelWorkers (0 = auto).
-  int RequestedWorkers = -1;
   bool ParallelActive = false;
   unsigned WorkerCountUsed = 0;
   std::vector<std::unique_ptr<WorkerState>> Workers;
   /// Tools pinned to the dispatch thread (serial-delivery fallback).
   std::vector<size_t> SerialToolIdx;
+  /// RingSlots slots while parallel mode is engaged, empty otherwise.
   std::vector<BatchSlot> Ring;
-  /// Batches published so far; slot = seq % Ring.size(). Guarded by
+  /// Batches published so far; slot = seq % RingSlots. Guarded by
   /// ParMutex together with ShuttingDown and the slot/worker cursors.
-  /// Ring.size() only changes while every slot is drained and the
-  /// publisher holds ParMutex (see the adaptive-growth path), so the
-  /// modulo mapping never rebinds an in-flight batch.
   uint64_t PublishedSeq = 0;
   bool ShuttingDown = false;
   /// Workers currently parked in a WorkReady wait / publisher parked in
@@ -442,12 +392,6 @@ private:
   uint64_t BackpressureBlocks = 0;
   uint64_t BackpressureWaitNs = 0;
   uint64_t MaxQueueDepth = 0;
-  /// Adaptive ring sizing: current size survives joinWorkers (so stats
-  /// can report it), growth count, and the block tally at the last
-  /// resize (growth triggers on RingGrowthThreshold new blocks).
-  size_t RingSlotsUsed = 0;
-  uint64_t RingGrowths = 0;
-  uint64_t BlocksAtLastGrowth = 0;
 };
 
 /// Replays \p Events into \p T, bracketed by onStart/onFinish.

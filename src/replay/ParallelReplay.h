@@ -51,7 +51,7 @@ class SymbolTable;
 class TraceStreamReader;
 
 struct ParallelReplayOptions {
-  /// Upper bound on --replay-workers (sanity, not tuning).
+  /// Upper bound on Workers (sanity, not tuning).
   static constexpr unsigned MaxWorkers = 32;
 
   /// Worker thread count. 0 runs the identical demux/epoch machinery

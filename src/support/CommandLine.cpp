@@ -7,10 +7,29 @@
 #include "support/CommandLine.h"
 
 #include <cassert>
+#include <cerrno>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 
 using namespace isp;
+
+bool isp::parseInteger(const std::string &Text, int64_t Min, int64_t Max,
+                       int64_t *Out) {
+  // strtoll alone skips leading whitespace and stops at the first
+  // non-digit; insist the whole text is one number.
+  if (Text.empty() || !(Text[0] == '-' || Text[0] == '+' ||
+                        (Text[0] >= '0' && Text[0] <= '9')))
+    return false;
+  char *End = nullptr;
+  errno = 0;
+  long long N = std::strtoll(Text.c_str(), &End, 10);
+  if (End == Text.c_str() || *End != '\0' || errno == ERANGE || N < Min ||
+      N > Max)
+    return false;
+  *Out = N;
+  return true;
+}
 
 void OptionParser::addOption(const std::string &Name,
                              const std::string &Default,
@@ -20,6 +39,16 @@ void OptionParser::addOption(const std::string &Name,
   Opt.Value = Default;
   Opt.Help = Help;
   Options[Name] = Opt;
+}
+
+void OptionParser::addIntOption(const std::string &Name,
+                                const std::string &Default, int64_t Min,
+                                int64_t Max, const std::string &Help) {
+  addOption(Name, Default, Help);
+  Option &Opt = Options[Name];
+  Opt.IsInt = true;
+  Opt.Min = Min;
+  Opt.Max = Max;
 }
 
 void OptionParser::addFlag(const std::string &Name, const std::string &Help) {
@@ -79,6 +108,15 @@ bool OptionParser::parse(int Argc, const char *const *Argv) {
       Opt.Value = Argv[++I];
     }
     Opt.Seen = true;
+    int64_t Unused;
+    if (Opt.IsInt && !parseInteger(Opt.Value, Opt.Min, Opt.Max, &Unused)) {
+      std::fprintf(stderr,
+                   "%s: invalid --%s value '%s' (expected an integer in "
+                   "[%" PRId64 ", %" PRId64 "])\n",
+                   ProgramName.c_str(), Name.c_str(), Opt.Value.c_str(),
+                   Opt.Min, Opt.Max);
+      return false;
+    }
   }
   return true;
 }
@@ -90,7 +128,14 @@ std::string OptionParser::getString(const std::string &Name) const {
 }
 
 int64_t OptionParser::getInt(const std::string &Name) const {
-  return std::strtoll(getString(Name).c_str(), nullptr, 10);
+  auto It = Options.find(Name);
+  assert(It != Options.end() && It->second.IsInt &&
+         "getInt on an option not registered with addIntOption");
+  const Option &Opt = It->second;
+  int64_t N = 0;
+  [[maybe_unused]] bool Ok = parseInteger(Opt.Value, Opt.Min, Opt.Max, &N);
+  assert(Ok && "integer option default out of its own range");
+  return N;
 }
 
 double OptionParser::getDouble(const std::string &Name) const {

@@ -63,9 +63,7 @@ RunResult isp::runWorkloadNative(const WorkloadInfo &Workload,
 ProfiledRun isp::profileWorkload(const WorkloadInfo &Workload,
                                  const WorkloadParams &Params,
                                  TrmsProfilerOptions ProfOpts,
-                                 MachineOptions MachineOpts,
-                                 unsigned ParallelToolWorkers,
-                                 size_t BatchCapacity) {
+                                 MachineOptions MachineOpts) {
   ProfiledRun Out;
   std::string Error;
   std::optional<Program> Prog = compileWorkload(Workload, Params, &Error);
@@ -73,29 +71,15 @@ ProfiledRun isp::profileWorkload(const WorkloadInfo &Workload,
     Out.Run.Error = Error;
     return Out;
   }
-  // The sharded and plain profilers run the identical algorithm; only
-  // the wts layout differs, so either fills the same ProfiledRun.
-  auto RunWith = [&](auto &Profiler) {
-    EventDispatcher Dispatcher;
-    Dispatcher.addTool(&Profiler);
-    if (BatchCapacity != 0)
-      Dispatcher.setBatchCapacity(BatchCapacity);
-    if (ParallelToolWorkers > 0)
-      Dispatcher.setParallelWorkers(ParallelToolWorkers);
-    Machine M(*Prog, &Dispatcher, MachineOpts);
-    {
-      obs::ScopedTimer Timer(phaseCounter("runner.execute_ns"));
-      Out.Run = M.run();
-    }
-    Out.Profile = Profiler.takeDatabase();
-  };
-  if (ProfOpts.ShadowShards > 1) {
-    ShardedTrmsProfiler Profiler(ProfOpts);
-    RunWith(Profiler);
-  } else {
-    TrmsProfiler Profiler(ProfOpts);
-    RunWith(Profiler);
+  TrmsProfiler Profiler(ProfOpts);
+  EventDispatcher Dispatcher;
+  Dispatcher.addTool(&Profiler);
+  Machine M(*Prog, &Dispatcher, MachineOpts);
+  {
+    obs::ScopedTimer Timer(phaseCounter("runner.execute_ns"));
+    Out.Run = M.run();
   }
+  Out.Profile = Profiler.takeDatabase();
   Out.Symbols = Prog->Symbols;
   return Out;
 }

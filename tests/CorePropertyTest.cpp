@@ -120,9 +120,11 @@ TEST_P(TrmsPropertyTest, ShadowChoiceIsTransparent) {
 }
 
 TEST_P(TrmsPropertyTest, ShardedWtsIsTransparent) {
-  // P3 extended to the range-sharded wts shadow: profiles are identical
-  // at every shard count, including under a tiny counter limit that
-  // forces renumbering sweeps through the per-shard epoch path.
+  // P3 extended to range-sharded shadows (the parallel replay engine's
+  // profiler, with both the per-thread ts and the global wts sharded):
+  // profiles are identical at every shard count, including under a tiny
+  // counter limit that forces renumbering sweeps through the per-shard
+  // epoch path.
   std::vector<EventRecord> Trace = makeTrace();
   TrmsProfilerOptions Opts;
   ProfileDatabase Global = profileTrace<TrmsProfiler>(Trace, Opts);
@@ -131,7 +133,7 @@ TEST_P(TrmsPropertyTest, ShardedWtsIsTransparent) {
     ShardOpts.ShadowShards = Shards;
     ShardOpts.CounterLimit = 512; // force frequent renumbering
     ProfileDatabase Sharded =
-        profileTrace<ShardedTrmsProfiler>(Trace, ShardOpts);
+        profileTrace<ParallelReplayProfiler>(Trace, ShardOpts);
     ASSERT_EQ(Global.log().size(), Sharded.log().size());
     for (size_t I = 0; I != Global.log().size(); ++I)
       ASSERT_EQ(Global.log()[I], Sharded.log()[I])

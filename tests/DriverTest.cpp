@@ -256,28 +256,67 @@ TEST(Driver, WorkloadCommand) {
   EXPECT_NE(R.Output.find("consumer"), std::string::npos);
 }
 
-TEST(Driver, ParallelToolsOutputMatchesSerial) {
-  // Parallel tool fan-out must not change a single output byte.
-  std::string Args = "run " + guest("quickstart.mini") +
-                     " --tools=aprof-trms,aprof-rms,memcheck,callgrind";
-  CommandResult Serial = runDriver(Args);
-  ASSERT_EQ(Serial.ExitCode, 0) << Serial.Output;
-  for (const char *Flag : {" --parallel-tools", " --parallel-tools=2"}) {
-    CommandResult Parallel = runDriver(Args + Flag);
-    EXPECT_EQ(Parallel.ExitCode, 0) << Parallel.Output;
-    EXPECT_EQ(Parallel.Output, Serial.Output) << Flag;
-  }
+/// The "--- Name ---" report section of \p Output, up to the next
+/// section header (or the end).
+std::string reportSection(const std::string &Output, const std::string &Name) {
+  size_t At = Output.find("--- " + Name + " ---\n");
+  if (At == std::string::npos)
+    return "";
+  size_t End = Output.find("\n--- ", At + 1);
+  return Output.substr(At, End == std::string::npos ? End : End + 1 - At);
 }
 
-TEST(Driver, ParallelToolsRejectsBadValues) {
+TEST(Driver, MultiToolReportsMatchEachToolAlone) {
+  // Two or more tools fan out to worker threads on their own; each
+  // tool's report must still be the one it produces running alone
+  // (serially).
+  const std::vector<std::string> Names = {"aprof-trms", "aprof-rms",
+                                          "memcheck", "callgrind"};
+  std::string StatsPath = ::testing::TempDir() + "isprof_fanout_stats.json";
   std::string Args = "run " + guest("quickstart.mini");
-  for (const char *Flag :
-       {" --parallel-tools=bogus", " --parallel-tools=0",
-        " --parallel-tools=-3", " --parallel-tools=1000"}) {
-    CommandResult R = runDriver(Args + Flag);
-    EXPECT_NE(R.ExitCode, 0) << Flag;
-    EXPECT_NE(R.Output.find("invalid --parallel-tools"), std::string::npos)
-        << Flag << ": " << R.Output;
+  CommandResult Multi =
+      runDriver(Args + " --tools=aprof-trms,aprof-rms,memcheck,callgrind"
+                       " --stats=json --stats-out=" +
+                StatsPath);
+  ASSERT_EQ(Multi.ExitCode, 0) << Multi.Output;
+  for (const std::string &Name : Names) {
+    CommandResult Alone = runDriver(Args + " --tools=" + Name);
+    ASSERT_EQ(Alone.ExitCode, 0) << Alone.Output;
+    std::string Expected = reportSection(Alone.Output, Name);
+    ASSERT_FALSE(Expected.empty()) << Alone.Output;
+    EXPECT_EQ(reportSection(Multi.Output, Name), Expected) << Name;
+  }
+  // The four-tool run really went through the workers.
+  std::string Stats = readFileBytes(StatsPath);
+  EXPECT_NE(Stats.find("\"dispatcher.parallel.workers\""), std::string::npos)
+      << Stats;
+  std::remove(StatsPath.c_str());
+}
+
+TEST(Driver, IntegerOptionsRejectMalformedValues) {
+  // Unchecked, these would run a guest with a garbage setting: a spin
+  // at --slice=0, SIGFPE at --threads=0, bad_alloc at --threads=-2,
+  // seed 0 for --seed=abc. The parser refuses them before any guest
+  // runs: exit 2, a message naming the option, and no workload banner.
+  struct BadValue {
+    const char *Args;
+    const char *Option;
+  };
+  const BadValue Cases[] = {
+      {"--size=8 --slice=0", "--slice"},  {"--threads=0", "--threads"},
+      {"--threads=-2", "--threads"},      {"--seed=abc", "--seed"},
+      {"--size=-1", "--size"},            {"--size=12abc", "--size"},
+      {"--slice=5k", "--slice"},          {"--threads=100000", "--threads"},
+      {"--seed=99999999999999999999", "--seed"},
+  };
+  for (const BadValue &C : Cases) {
+    CommandResult R = runDriver(std::string("workload md ") + C.Args);
+    EXPECT_EQ(R.ExitCode, 2) << C.Args << ": " << R.Output;
+    EXPECT_NE(R.Output.find(std::string("invalid ") + C.Option + " value"),
+              std::string::npos)
+        << C.Args << ": " << R.Output;
+    EXPECT_EQ(R.Output.find("[md:"), std::string::npos)
+        << C.Args << " started a guest: " << R.Output;
   }
 }
 
@@ -308,34 +347,17 @@ TEST(Driver, StreamRecordReplayRoundTrip) {
   std::remove(StreamPath.c_str());
 }
 
-TEST(Driver, ShardedShadowOutputMatchesGlobal) {
-  // --shadow-shards must not change a single output byte.
-  std::string Args = "run " + guest("stream.mini") + " --tools=aprof-trms";
-  CommandResult Global = runDriver(Args);
-  ASSERT_EQ(Global.ExitCode, 0) << Global.Output;
-  for (const char *Flag : {" --shadow-shards=4", " --shadow-shards=16"}) {
-    CommandResult Sharded = runDriver(Args + Flag);
-    EXPECT_EQ(Sharded.ExitCode, 0) << Sharded.Output;
-    EXPECT_EQ(Sharded.Output, Global.Output) << Flag;
-  }
-}
-
 TEST(Driver, StreamingFlagsRejectBadValues) {
-  std::string Args = "run " + guest("quickstart.mini");
+  std::string Args = "run " + guest("quickstart.mini") +
+                     " --record-stream=" + ::testing::TempDir() +
+                     "isprof_bad_chunk_bytes.strm";
   for (const char *Flag :
-       {" --shadow-shards=0", " --shadow-shards=3", " --shadow-shards=512",
-        " --shadow-shards=bogus"}) {
+       {" --stream-chunk-bytes=512", " --stream-chunk-bytes=3000",
+        " --stream-chunk-bytes=2097152", " --stream-chunk-bytes=bogus"}) {
     CommandResult R = runDriver(Args + Flag);
-    EXPECT_NE(R.ExitCode, 0) << Flag;
-    EXPECT_NE(R.Output.find("invalid --shadow-shards"), std::string::npos)
-        << Flag << ": " << R.Output;
-  }
-  for (const char *Flag :
-       {" --batch-capacity=0", " --batch-capacity=100",
-        " --batch-capacity=131072", " --batch-capacity=bogus"}) {
-    CommandResult R = runDriver(Args + Flag);
-    EXPECT_NE(R.ExitCode, 0) << Flag;
-    EXPECT_NE(R.Output.find("invalid --batch-capacity"), std::string::npos)
+    EXPECT_EQ(R.ExitCode, 2) << Flag;
+    EXPECT_NE(R.Output.find("invalid --stream-chunk-bytes"),
+              std::string::npos)
         << Flag << ": " << R.Output;
   }
   // Replaying a corrupt stream (here: a header whose length and
@@ -353,85 +375,8 @@ TEST(Driver, StreamingFlagsRejectBadValues) {
   std::remove(BadPath.c_str());
 }
 
-TEST(Driver, BatchCapacityOutputMatchesDefault) {
-  std::string Args = "run " + guest("quickstart.mini") +
-                     " --tools=aprof-trms,memcheck";
-  CommandResult Default = runDriver(Args);
-  ASSERT_EQ(Default.ExitCode, 0) << Default.Output;
-  for (const char *Flag : {" --batch-capacity=16", " --batch-capacity=4096"}) {
-    CommandResult Tuned = runDriver(Args + Flag);
-    EXPECT_EQ(Tuned.ExitCode, 0) << Tuned.Output;
-    EXPECT_EQ(Tuned.Output, Default.Output) << Flag;
-  }
-}
-
-TEST(Driver, ParallelReplayOutputMatchesSerial) {
-  // The tentpole contract at CLI level: parallel stream replay is
-  // byte-for-byte the serial replay, across shard and worker counts.
-  std::string StreamPath =
-      ::testing::TempDir() + "isprof_driver_preplay.strm";
-  ASSERT_EQ(runDriver("run " + guest("stream.mini") +
-                      " --tools=aprof-trms --record-stream=" + StreamPath)
-                .ExitCode,
-            0);
-  std::string Base = "replay " + StreamPath + " --tools=aprof-trms";
-  CommandResult Serial = runDriver(Base);
-  ASSERT_EQ(Serial.ExitCode, 0) << Serial.Output;
-  for (const char *Shards :
-       {"", " --shadow-shards=4", " --shadow-shards=16"}) {
-    for (const char *Workers : {" --replay-workers=1", " --replay-workers=2",
-                                " --replay-workers=4"}) {
-      CommandResult Parallel = runDriver(Base + Shards + Workers);
-      EXPECT_EQ(Parallel.ExitCode, 0) << Parallel.Output;
-      EXPECT_EQ(Parallel.Output, Serial.Output) << Shards << Workers;
-    }
-  }
-
-  // The environment fallback is soft: an ineligible invocation (two
-  // tools) silently stays serial instead of erroring.
-  setenv("ISPROF_REPLAY_WORKERS", "2", 1);
-  CommandResult EnvMulti = runDriver("replay " + StreamPath +
-                                     " --tools=aprof-rms,aprof-trms");
-  EXPECT_EQ(EnvMulti.ExitCode, 0) << EnvMulti.Output;
-  CommandResult EnvEligible = runDriver(Base);
-  EXPECT_EQ(EnvEligible.ExitCode, 0) << EnvEligible.Output;
-  EXPECT_EQ(EnvEligible.Output, Serial.Output);
-  unsetenv("ISPROF_REPLAY_WORKERS");
-  std::remove(StreamPath.c_str());
-}
-
-TEST(Driver, ReplayWorkersRejectsBadValuesAndConfigs) {
-  std::string StreamPath =
-      ::testing::TempDir() + "isprof_driver_preplay_flags.strm";
-  ASSERT_EQ(runDriver("run " + guest("stream.mini") +
-                      " --tools=aprof-trms --record-stream=" + StreamPath)
-                .ExitCode,
-            0);
-  std::string Base = "replay " + StreamPath;
-  for (const char *Flag : {" --replay-workers=abc", " --replay-workers=33",
-                           " --replay-workers=-1"}) {
-    CommandResult R = runDriver(Base + " --tools=aprof-trms" + Flag);
-    EXPECT_NE(R.ExitCode, 0) << Flag;
-    EXPECT_NE(R.Output.find("invalid --replay-workers"), std::string::npos)
-        << Flag << ": " << R.Output;
-  }
-  // Explicit workers with an incompatible configuration is a hard
-  // error, not a silent serial run.
-  for (std::string Args :
-       {Base + " --tools=aprof-rms --replay-workers=2",
-        Base + " --tools=aprof-trms,memcheck --replay-workers=2",
-        Base + " --tools=aprof-trms --parallel-tools=2 --replay-workers=2"}) {
-    CommandResult R = runDriver(Args);
-    EXPECT_EQ(R.ExitCode, 2) << Args << ": " << R.Output;
-    EXPECT_NE(R.Output.find("--replay-workers requires"), std::string::npos)
-        << Args << ": " << R.Output;
-  }
-  std::remove(StreamPath.c_str());
-}
-
 TEST(Driver, ReplayStreamErrorNamesChunk) {
-  // A decode failure mid-stream names the failing chunk, on both the
-  // serial and the parallel path.
+  // A decode failure mid-stream names the failing chunk.
   std::vector<isp::EventRecord> Events;
   uint64_t Time = 1;
   Events.push_back(isp::EventRecord::threadStart(0, Time++, 0));
@@ -460,15 +405,11 @@ TEST(Driver, ReplayStreamErrorNamesChunk) {
   writeFileBytes(Path, Bytes);
   std::string Named = "chunk 1:";
 
-  for (const char *Extra : {"", " --replay-workers=2"}) {
-    CommandResult R =
-        runDriver("replay " + Path + " --tools=aprof-trms" + Extra);
-    EXPECT_NE(R.ExitCode, 0) << Extra;
-    EXPECT_NE(R.Output.find(Named), std::string::npos)
-        << Extra << ": " << R.Output;
-    EXPECT_NE(R.Output.find("payload checksum mismatch"), std::string::npos)
-        << Extra << ": " << R.Output;
-  }
+  CommandResult R = runDriver("replay " + Path + " --tools=aprof-trms");
+  EXPECT_NE(R.ExitCode, 0);
+  EXPECT_NE(R.Output.find(Named), std::string::npos) << R.Output;
+  EXPECT_NE(R.Output.find("payload checksum mismatch"), std::string::npos)
+      << R.Output;
   std::remove(Path.c_str());
 }
 

@@ -4,15 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The dispatcher's parallel tool fan-out (setParallelWorkers /
-// --parallel-tools) promises three things, and these tests hold it to
-// them: (1) every tool observes exactly the batch sequence serial
-// delivery would give it, so reports and profiles are byte-identical;
-// (2) each tool's callbacks run on one fixed thread chosen by its
-// declared affinity — DispatchThread on the enqueue thread, worker
-// tools on exactly one worker; (3) finish() is a real join: after it
-// returns, every event has been consumed and the compaction identity
-// holds on the dispatcher's plain counters.
+// The dispatcher engages parallel tool fan-out on its own, exactly when
+// two or more tools are attached and at least one may run on a worker.
+// It promises three things, and these tests hold it to them: (1) every
+// tool observes exactly the batch sequence it would get running alone,
+// so reports and profiles are byte-identical; (2) each tool's callbacks
+// run on one fixed thread chosen by its declared affinity —
+// DispatchThread on the enqueue thread, worker tools on exactly one
+// worker; (3) finish() is a real join: after it returns, every event has
+// been consumed and the compaction identity holds on the dispatcher's
+// plain counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <set>
 #include <thread>
@@ -49,13 +51,12 @@ std::vector<EventRecord> makeTrace(uint64_t Operations, uint64_t Seed,
   return generateSyntheticTrace(Gen);
 }
 
-/// Runs \p Events through a dispatcher over freshly created \p ToolNames
-/// and returns each tool's rendered report. \p Workers == 0 keeps serial
-/// delivery; > 0 requests parallel fan-out.
+/// Runs \p Events through one dispatcher over freshly created
+/// \p ToolNames and returns each tool's rendered report. *WorkersOut
+/// (when given) receives the worker count the run used (0 = serial).
 std::vector<std::string> reportsForRun(const std::vector<EventRecord> &Events,
                                        const std::vector<std::string> &ToolNames,
-                                       unsigned Workers,
-                                       size_t BatchCapacity = 0) {
+                                       unsigned *WorkersOut = nullptr) {
   std::vector<std::unique_ptr<Tool>> Tools;
   for (const std::string &Name : ToolNames) {
     Tools.push_back(makeTool(Name));
@@ -64,19 +65,23 @@ std::vector<std::string> reportsForRun(const std::vector<EventRecord> &Events,
   EventDispatcher Dispatcher;
   for (auto &T : Tools)
     Dispatcher.addTool(T.get());
-  if (BatchCapacity != 0) {
-    EXPECT_TRUE(Dispatcher.setBatchCapacity(BatchCapacity));
-  }
-  if (Workers > 0)
-    Dispatcher.setParallelWorkers(Workers);
   Dispatcher.start(nullptr);
   for (const EventRecord &E : Events)
     Dispatcher.enqueue(E);
   Dispatcher.finish();
+  if (WorkersOut)
+    *WorkersOut = Dispatcher.parallelWorkersUsed();
   std::vector<std::string> Reports;
   for (auto &T : Tools)
     Reports.push_back(renderToolReport(*T, nullptr));
   return Reports;
+}
+
+/// The worker count the automatic rule picks for \p Units schedulable
+/// units: min(units, hardware concurrency), unknown concurrency read as 2.
+unsigned expectedWorkers(unsigned Units) {
+  unsigned Hw = std::thread::hardware_concurrency();
+  return std::min(Units, Hw == 0 ? 2u : Hw);
 }
 
 /// Records every callback's payload and the thread it ran on.
@@ -172,25 +177,103 @@ TEST(ParallelFanout, RegistryToolsDeclareExpectedAffinities) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel == serial, observationally
+// When fan-out engages
 //===----------------------------------------------------------------------===//
 
-TEST(ParallelFanout, ReportsMatchSerialOnSyntheticTrace) {
-  const std::vector<std::string> ToolNames = {"aprof-trms", "aprof-rms",
-                                              "memcheck", "callgrind"};
-  std::vector<EventRecord> Events = makeTrace(20000, 31);
-  std::vector<std::string> Serial = reportsForRun(Events, ToolNames, 0);
-  for (unsigned Workers : {1u, 2u, 4u}) {
-    std::vector<std::string> Parallel =
-        reportsForRun(Events, ToolNames, Workers);
-    ASSERT_EQ(Parallel.size(), Serial.size());
-    for (size_t I = 0; I != Serial.size(); ++I)
-      EXPECT_EQ(Parallel[I], Serial[I])
-          << ToolNames[I] << " diverged with " << Workers << " workers";
+TEST(ParallelFanout, OneToolStaysSerial) {
+  // A lone tool is delivered on the enqueue thread, whatever its
+  // affinity.
+  for (const std::string &Name : allToolNames()) {
+    std::unique_ptr<Tool> T = makeTool(Name);
+    EventDispatcher D;
+    D.addTool(T.get());
+    D.start(nullptr);
+    EXPECT_FALSE(D.parallelActive()) << Name;
+    D.finish();
+    EXPECT_EQ(D.parallelWorkersUsed(), 0u) << Name;
+  }
+  RecordingTool Spread(ToolAffinity::AnyWorker);
+  EventDispatcher D;
+  D.addTool(&Spread);
+  D.start(nullptr);
+  EXPECT_FALSE(D.parallelActive());
+  for (const EventRecord &E : makeTrace(1000, 30))
+    D.enqueue(E);
+  D.finish();
+  ASSERT_EQ(Spread.threads().size(), 1u);
+  EXPECT_EQ(*Spread.threads().begin(), std::this_thread::get_id());
+}
+
+TEST(ParallelFanout, TwoOrMoreEligibleToolsEngageFanout) {
+  // Workers = min(schedulable units, hardware concurrency); the
+  // CoScheduled profiler family counts as one unit.
+  struct Case {
+    std::vector<std::string> Tools;
+    unsigned Units;
+  };
+  const Case Cases[] = {
+      {{"aprof-trms", "aprof-rms"}, 1},
+      {{"memcheck", "callgrind"}, 2},
+      {{"aprof-trms", "aprof-rms", "memcheck", "callgrind"}, 3},
+      {{"nulgrind", "memcheck", "callgrind", "helgrind", "drd", "cct"}, 6},
+  };
+  for (const Case &C : Cases) {
+    std::vector<std::unique_ptr<Tool>> Tools;
+    EventDispatcher D;
+    for (const std::string &Name : C.Tools) {
+      Tools.push_back(makeTool(Name));
+      D.addTool(Tools.back().get());
+    }
+    D.start(nullptr);
+    EXPECT_TRUE(D.parallelActive()) << C.Tools.size() << " tools";
+    EXPECT_EQ(D.parallelWorkersUsed(), expectedWorkers(C.Units))
+        << C.Tools.size() << " tools";
+    D.finish();
+    EXPECT_FALSE(D.parallelActive());
   }
 }
 
-TEST(ParallelFanout, ReportsMatchSerialOnCompiledWorkload) {
+TEST(ParallelFanout, StaysSerialWithOnlyDispatchThreadTools) {
+  RecordingTool A(ToolAffinity::DispatchThread);
+  RecordingTool B(ToolAffinity::DispatchThread);
+  EventDispatcher D;
+  D.addTool(&A);
+  D.addTool(&B);
+  D.start(nullptr);
+  EXPECT_FALSE(D.parallelActive());
+  EXPECT_EQ(D.parallelWorkersUsed(), 0u);
+  for (const EventRecord &E : makeTrace(1000, 36))
+    D.enqueue(E);
+  D.finish();
+  for (const RecordingTool *T : {&A, &B}) {
+    ASSERT_EQ(T->threads().size(), 1u);
+    EXPECT_EQ(*T->threads().begin(), std::this_thread::get_id());
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Multi-tool == each tool alone, observationally
+//===----------------------------------------------------------------------===//
+
+TEST(ParallelFanout, ReportsMatchEachToolAloneOnSyntheticTrace) {
+  const std::vector<std::string> ToolNames = {"aprof-trms", "aprof-rms",
+                                              "memcheck", "callgrind"};
+  std::vector<EventRecord> Events = makeTrace(20000, 31);
+  unsigned Workers = 0;
+  std::vector<std::string> Together = reportsForRun(Events, ToolNames,
+                                                    &Workers);
+  EXPECT_GT(Workers, 0u);
+  ASSERT_EQ(Together.size(), ToolNames.size());
+  for (size_t I = 0; I != ToolNames.size(); ++I) {
+    unsigned AloneWorkers = 1;
+    std::vector<std::string> Alone =
+        reportsForRun(Events, {ToolNames[I]}, &AloneWorkers);
+    EXPECT_EQ(AloneWorkers, 0u);
+    EXPECT_EQ(Together[I], Alone[0]) << ToolNames[I];
+  }
+}
+
+TEST(ParallelFanout, ReportsMatchEachToolAloneOnCompiledWorkload) {
   const WorkloadInfo *W = findWorkload("md");
   ASSERT_NE(W, nullptr);
   WorkloadParams Params;
@@ -199,31 +282,29 @@ TEST(ParallelFanout, ReportsMatchSerialOnCompiledWorkload) {
   std::optional<Program> Prog = compileWorkload(*W, Params);
   ASSERT_TRUE(Prog.has_value());
 
-  const std::vector<std::string> ToolNames = {"aprof-trms", "aprof-rms",
-                                              "memcheck", "callgrind"};
-  auto RunOnce = [&](unsigned Workers) {
+  auto RunWith = [&](const std::vector<std::string> &ToolNames) {
     std::vector<std::unique_ptr<Tool>> Tools;
     for (const std::string &Name : ToolNames)
       Tools.push_back(makeTool(Name));
     EventDispatcher Dispatcher;
     for (auto &T : Tools)
       Dispatcher.addTool(T.get());
-    if (Workers > 0)
-      Dispatcher.setParallelWorkers(Workers);
     Machine M(*Prog, &Dispatcher, MachineOptions());
     RunResult R = M.run();
     EXPECT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(Dispatcher.parallelWorkersUsed() > 0, ToolNames.size() > 1);
     std::vector<std::string> Reports;
     for (auto &T : Tools)
       Reports.push_back(renderToolReport(*T, &Prog->Symbols));
     return Reports;
   };
 
-  std::vector<std::string> Serial = RunOnce(0);
-  std::vector<std::string> Parallel = RunOnce(2);
-  ASSERT_EQ(Parallel.size(), Serial.size());
-  for (size_t I = 0; I != Serial.size(); ++I)
-    EXPECT_EQ(Parallel[I], Serial[I]) << ToolNames[I];
+  const std::vector<std::string> ToolNames = {"aprof-trms", "aprof-rms",
+                                              "memcheck", "callgrind"};
+  std::vector<std::string> Together = RunWith(ToolNames);
+  ASSERT_EQ(Together.size(), ToolNames.size());
+  for (size_t I = 0; I != ToolNames.size(); ++I)
+    EXPECT_EQ(Together[I], RunWith({ToolNames[I]})[0]) << ToolNames[I];
 }
 
 TEST(ParallelFanout, CallbackOrderAndContentMatchSerial) {
@@ -238,10 +319,11 @@ TEST(ParallelFanout, CallbackOrderAndContentMatchSerial) {
     D.finish();
   }
   RecordingTool Parallel(ToolAffinity::AnyWorker);
+  NulTool Partner; // a second eligible tool, so fan-out engages
   {
     EventDispatcher D;
     D.addTool(&Parallel);
-    D.setParallelWorkers(2);
+    D.addTool(&Partner);
     D.start(nullptr);
     EXPECT_TRUE(D.parallelActive());
     for (const EventRecord &E : Events)
@@ -256,19 +338,21 @@ TEST(ParallelFanout, DispatchPathMatchesSerial) {
   // dispatch() delivers per-event; in parallel mode each event becomes
   // its own published batch. Content and order must not change.
   std::vector<EventRecord> Events = makeTrace(2000, 33);
-  auto RunOnce = [&](unsigned Workers) {
+  auto RunOnce = [&](bool WithPartner) {
     RecordingTool T(ToolAffinity::AnyWorker);
+    NulTool Partner;
     EventDispatcher D;
     D.addTool(&T);
-    if (Workers > 0)
-      D.setParallelWorkers(Workers);
+    if (WithPartner)
+      D.addTool(&Partner);
     D.start(nullptr);
+    EXPECT_EQ(D.parallelActive(), WithPartner);
     for (const EventRecord &E : Events)
       D.dispatch(E);
     D.finish();
     return T.entries();
   };
-  EXPECT_EQ(RunOnce(2), RunOnce(0));
+  EXPECT_EQ(RunOnce(true), RunOnce(false));
 }
 
 //===----------------------------------------------------------------------===//
@@ -281,7 +365,6 @@ TEST(ParallelFanout, DispatchThreadToolStaysOnEnqueueThread) {
   EventDispatcher D;
   D.addTool(&Pinned);
   D.addTool(&Spread);
-  D.setParallelWorkers(2);
   D.start(nullptr);
   ASSERT_TRUE(D.parallelActive());
   for (const EventRecord &E : makeTrace(4000, 34))
@@ -293,9 +376,10 @@ TEST(ParallelFanout, DispatchThreadToolStaysOnEnqueueThread) {
 
 TEST(ParallelFanout, AnyWorkerToolRunsOnOneWorkerThread) {
   RecordingTool Spread(ToolAffinity::AnyWorker);
+  NulTool Partner;
   EventDispatcher D;
   D.addTool(&Spread);
-  D.setParallelWorkers(2);
+  D.addTool(&Partner);
   D.start(nullptr);
   ASSERT_TRUE(D.parallelActive());
   for (const EventRecord &E : makeTrace(4000, 35))
@@ -304,34 +388,6 @@ TEST(ParallelFanout, AnyWorkerToolRunsOnOneWorkerThread) {
   // One fixed consumer thread, and never the enqueue thread.
   ASSERT_EQ(Spread.threads().size(), 1u);
   EXPECT_NE(*Spread.threads().begin(), std::this_thread::get_id());
-}
-
-TEST(ParallelFanout, WorkerCountClampsToEligibleTools) {
-  // One spreadable tool can use at most one worker, however many were
-  // requested.
-  NulTool T;
-  EventDispatcher D;
-  D.addTool(&T);
-  D.setParallelWorkers(64);
-  D.start(nullptr);
-  ASSERT_TRUE(D.parallelActive());
-  EXPECT_EQ(D.parallelWorkersUsed(), 1u);
-  D.finish();
-}
-
-TEST(ParallelFanout, StaysSerialWithOnlyDispatchThreadTools) {
-  RecordingTool Pinned(ToolAffinity::DispatchThread);
-  EventDispatcher D;
-  D.addTool(&Pinned);
-  D.setParallelWorkers(4);
-  D.start(nullptr);
-  EXPECT_FALSE(D.parallelActive());
-  EXPECT_EQ(D.parallelWorkersUsed(), 0u);
-  for (const EventRecord &E : makeTrace(1000, 36))
-    D.enqueue(E);
-  D.finish();
-  ASSERT_EQ(Pinned.threads().size(), 1u);
-  EXPECT_EQ(*Pinned.threads().begin(), std::this_thread::get_id());
 }
 
 //===----------------------------------------------------------------------===//
@@ -345,8 +401,8 @@ TEST(ParallelFanout, CompactionIdentityHoldsAfterFinish) {
   EventDispatcher D;
   D.addTool(&A);
   D.addTool(B.get());
-  D.setParallelWorkers(2);
   D.start(nullptr);
+  ASSERT_TRUE(D.parallelActive());
   for (const EventRecord &E : Events)
     D.enqueue(E);
   D.finish();
@@ -357,93 +413,24 @@ TEST(ParallelFanout, CompactionIdentityHoldsAfterFinish) {
 
 TEST(ParallelFanout, BackpressureBoundsThePublisher) {
   SlowTool Slow;
+  NulTool Partner;
   EventDispatcher D;
   D.addTool(&Slow);
-  D.setParallelWorkers(1);
+  D.addTool(&Partner);
   D.start(nullptr);
   ASSERT_TRUE(D.parallelActive());
-  // Dense, non-mergeable reads: every 256 fill a batch, and the slow
-  // consumer drains far behind the publisher's pace.
-  const uint64_t NumReads = 24 * EventDispatcher::DefaultBatchCapacity;
+  // Dense, non-mergeable reads fill a batch every ~256 events; two laps
+  // of the fixed ring, and the slow consumer drains far behind the
+  // publisher's pace.
+  const uint64_t NumReads =
+      2 * EventDispatcher::RingSlots * EventDispatcher::BatchCapacity;
   for (uint64_t I = 0; I != NumReads; ++I)
     D.enqueue(EventRecord::read(0, I + 1, 8 * I));
   D.finish();
   EXPECT_GT(D.backpressureBlocks(), 0u);
-  EXPECT_LE(D.maxQueueDepth(), D.ringSlots());
-  EXPECT_GE(D.ringSlots(), EventDispatcher::InitialRingSlots);
-  EXPECT_LE(D.ringSlots(), EventDispatcher::MaxRingSlots);
+  EXPECT_LE(D.maxQueueDepth(), EventDispatcher::RingSlots);
   // The join delivered everything despite the blocking.
   EXPECT_EQ(Slow.reads(), NumReads);
-}
-
-TEST(ParallelFanout, RingGrowsUnderSustainedBackpressure) {
-  // A publisher lapping a slow consumer for long enough must trip the
-  // adaptive growth: repeated backpressure doubles the ring (up to
-  // MaxRingSlots), trading bounded extra memory for fewer stalls —
-  // without losing or reordering a single event.
-  SlowTool Slow;
-  EventDispatcher D;
-  D.addTool(&Slow);
-  D.setParallelWorkers(1);
-  D.start(nullptr);
-  ASSERT_TRUE(D.parallelActive());
-  const uint64_t NumReads = 96 * EventDispatcher::DefaultBatchCapacity;
-  for (uint64_t I = 0; I != NumReads; ++I)
-    D.enqueue(EventRecord::read(0, I + 1, 8 * I));
-  D.finish();
-  EXPECT_GE(D.backpressureBlocks(), EventDispatcher::RingGrowthThreshold);
-  EXPECT_GE(D.ringGrowths(), 1u);
-  EXPECT_GT(D.ringSlots(), EventDispatcher::InitialRingSlots);
-  EXPECT_LE(D.ringSlots(), EventDispatcher::MaxRingSlots);
-  EXPECT_EQ(Slow.reads(), NumReads);
-}
-
-//===----------------------------------------------------------------------===//
-// Runtime batch capacity
-//===----------------------------------------------------------------------===//
-
-TEST(BatchCapacity, ValidatesAndReportsCapacity) {
-  EventDispatcher D;
-  EXPECT_EQ(D.batchCapacity(), EventDispatcher::DefaultBatchCapacity);
-  // Out of range or not a power of two: refused, capacity unchanged.
-  for (size_t Bad : {size_t(0), size_t(8), size_t(100), size_t(131072)}) {
-    EXPECT_FALSE(D.setBatchCapacity(Bad)) << Bad;
-    EXPECT_EQ(D.batchCapacity(), EventDispatcher::DefaultBatchCapacity);
-  }
-  EXPECT_TRUE(D.setBatchCapacity(EventDispatcher::MinBatchCapacity));
-  EXPECT_TRUE(D.setBatchCapacity(EventDispatcher::MaxBatchCapacity));
-  EXPECT_TRUE(D.setBatchCapacity(1024));
-  EXPECT_EQ(D.batchCapacity(), 1024u);
-  // Once events are buffered the resize is refused (it would drop them).
-  NulTool T;
-  D.addTool(&T);
-  D.start(nullptr);
-  D.enqueue(EventRecord::read(0, 1, 8));
-  EXPECT_FALSE(D.setBatchCapacity(256));
-  EXPECT_EQ(D.batchCapacity(), 1024u);
-  D.finish();
-}
-
-TEST(BatchCapacity, ReportsAreIdenticalAcrossCapacities) {
-  // Batch capacity moves flush boundaries (and with them where access
-  // runs stop merging), but every tool is compaction-invariant — so the
-  // rendered reports must be byte-identical at every legal capacity.
-  const std::vector<std::string> ToolNames = {"aprof-trms", "aprof-rms",
-                                              "memcheck", "callgrind"};
-  std::vector<EventRecord> Events = makeTrace(20000, 41);
-  std::vector<std::string> Baseline = reportsForRun(Events, ToolNames, 0);
-  for (size_t Capacity : {size_t(16), size_t(1024), size_t(65536)}) {
-    std::vector<std::string> Reports =
-        reportsForRun(Events, ToolNames, 0, Capacity);
-    ASSERT_EQ(Reports.size(), Baseline.size());
-    for (size_t I = 0; I != Baseline.size(); ++I)
-      EXPECT_EQ(Reports[I], Baseline[I])
-          << ToolNames[I] << " diverged at capacity " << Capacity;
-  }
-  // And in parallel mode, capacity and worker count compose cleanly.
-  std::vector<std::string> Parallel = reportsForRun(Events, ToolNames, 2, 64);
-  for (size_t I = 0; I != Baseline.size(); ++I)
-    EXPECT_EQ(Parallel[I], Baseline[I]) << ToolNames[I];
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // Byte-identity of shard-partitioned parallel replay against the serial
-// streaming path, across shard and worker counts, under intensive
-// renumbering, and resuming from a mid-stream seek; plus error
-// surfacing and the replay statistics surface.
+// streaming path, across shard and worker counts (on synthetic traces
+// and on a recorded guest), under intensive renumbering, and resuming
+// from a mid-stream seek; plus error surfacing and the replay
+// statistics surface.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,8 @@
 #include "tools/ToolRegistry.h"
 #include "trace/Synthetic.h"
 #include "trace/TraceStream.h"
+#include "vm/Machine.h"
+#include "workloads/Runner.h"
 
 #include "gtest/gtest.h"
 
@@ -114,6 +117,64 @@ TEST(ParallelReplay, MatchesSerialAcrossShardsAndWorkers) {
       EXPECT_EQ(Stats.Workers, std::min(Workers, Shards));
     }
   }
+  std::remove(Path.c_str());
+}
+
+/// Renders aprof-trms over the stream at \p Path with its own routine
+/// names: serially through the dispatcher when \p Workers is 0,
+/// otherwise through the parallel engine at \p Shards x \p Workers.
+std::string namedReport(const std::string &Path, unsigned Shards,
+                        unsigned Workers) {
+  TraceStreamReader Reader;
+  EXPECT_TRUE(Reader.open(Path)) << Reader.error();
+  SymbolTable Symbols;
+  for (const auto &[Id, Name] : Reader.routines())
+    Symbols.intern(Name);
+  if (Workers == 0) {
+    TrmsProfiler Profiler;
+    EXPECT_TRUE(replayTraceStream(Reader, Profiler, &Symbols))
+        << Reader.error();
+    return renderToolReport(Profiler, &Symbols);
+  }
+  TrmsProfilerOptions Opts;
+  Opts.ShadowShards = Shards;
+  ParallelReplayProfiler Profiler(Opts);
+  ParallelReplayOptions ReplayOpts;
+  ReplayOpts.Workers = Workers;
+  EXPECT_TRUE(parallelReplayStream(Reader, Profiler, &Symbols, ReplayOpts))
+      << Reader.error();
+  return renderToolReport(Profiler, &Symbols);
+}
+
+TEST(ParallelReplay, RecordedGuestMatchesSerialAcrossShardsAndWorkers) {
+  // A real guest rather than a synthetic trace: md with four guest
+  // threads sharing one array, recorded live through the stream writer.
+  const WorkloadInfo *W = findWorkload("md");
+  ASSERT_NE(W, nullptr);
+  WorkloadParams Params;
+  Params.Threads = 4;
+  Params.Size = 24;
+  std::optional<Program> Prog = compileWorkload(*W, Params);
+  ASSERT_TRUE(Prog.has_value());
+  std::string Path = tempPath("isprof_preplay_md.strm");
+  {
+    TraceStreamWriter Writer;
+    ASSERT_TRUE(Writer.open(Path, Prog->Symbols.entries())) << Writer.error();
+    EventDispatcher Dispatcher;
+    Dispatcher.setRecordSink(&Writer);
+    Machine M(*Prog, &Dispatcher, MachineOptions());
+    RunResult R = M.run();
+    ASSERT_TRUE(R.Ok) << R.Error;
+    ASSERT_TRUE(Writer.close()) << Writer.error();
+  }
+
+  std::string Expected = namedReport(Path, 1, 0);
+  // Routine names come from the stream, so a broken symbol path shows.
+  ASSERT_NE(Expected.find("pair_force"), std::string::npos) << Expected;
+  for (unsigned Shards : {1u, 4u, 16u})
+    for (unsigned Workers : {1u, 2u, 4u})
+      EXPECT_EQ(namedReport(Path, Shards, Workers), Expected)
+          << "shards=" << Shards << " workers=" << Workers;
   std::remove(Path.c_str());
 }
 

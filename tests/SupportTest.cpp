@@ -215,7 +215,7 @@ TEST(Csv, EscapesSpecialCells) {
 
 TEST(CommandLine, ParsesOptionsAndPositionals) {
   OptionParser Parser("test");
-  Parser.addOption("size", "128", "problem size");
+  Parser.addIntOption("size", "128", 0, INT64_MAX, "problem size");
   Parser.addFlag("verbose", "more output");
   const char *Argv[] = {"prog", "--size=256", "--verbose", "input.txt"};
   ASSERT_TRUE(Parser.parse(4, Argv));
@@ -227,10 +227,47 @@ TEST(CommandLine, ParsesOptionsAndPositionals) {
 
 TEST(CommandLine, SeparateValueForm) {
   OptionParser Parser("test");
-  Parser.addOption("threads", "4", "thread count");
+  Parser.addIntOption("threads", "4", 1, 64, "thread count");
   const char *Argv[] = {"prog", "--threads", "8"};
   ASSERT_TRUE(Parser.parse(3, Argv));
   EXPECT_EQ(Parser.getInt("threads"), 8);
+}
+
+TEST(CommandLine, IntOptionKeepsItsDefault) {
+  OptionParser Parser("test");
+  Parser.addIntOption("seed", "-7", INT64_MIN, INT64_MAX, "seed");
+  const char *Argv[] = {"prog"};
+  ASSERT_TRUE(Parser.parse(1, Argv));
+  EXPECT_EQ(Parser.getInt("seed"), -7);
+}
+
+TEST(CommandLine, ParseIntegerAcceptsOnlyWholeInRangeNumbers) {
+  int64_t N = 99;
+  EXPECT_TRUE(parseInteger("0", 0, 10, &N));
+  EXPECT_EQ(N, 0);
+  EXPECT_TRUE(parseInteger("-3", -5, 5, &N));
+  EXPECT_EQ(N, -3);
+  EXPECT_TRUE(parseInteger("+4", 0, 5, &N));
+  EXPECT_EQ(N, 4);
+  EXPECT_TRUE(parseInteger("9223372036854775807", 0, INT64_MAX, &N));
+  EXPECT_EQ(N, INT64_MAX);
+  N = 99;
+  for (const char *Bad : {"", "abc", "12abc", "1.5", " 5", "5 ", "-", "0x10",
+                          "11", "-6", "9223372036854775808",
+                          "-99999999999999999999"}) {
+    EXPECT_FALSE(parseInteger(Bad, -5, 10, &N)) << "'" << Bad << "'";
+    EXPECT_EQ(N, 99) << "'" << Bad << "'";
+  }
+}
+
+TEST(CommandLine, RejectsMalformedOrOutOfRangeIntOption) {
+  for (const char *Arg : {"--slice=0", "--slice=-2", "--slice=abc",
+                          "--slice=7junk", "--slice="}) {
+    OptionParser Parser("test");
+    Parser.addIntOption("slice", "150", 1, INT64_MAX, "quantum");
+    const char *Argv[] = {"prog", Arg};
+    EXPECT_FALSE(Parser.parse(2, Argv)) << Arg;
+  }
 }
 
 TEST(CommandLine, RejectsUnknownOption) {
@@ -243,7 +280,7 @@ TEST(CommandLine, RejectsDuplicateOption) {
   // A repeated option used to silently overwrite the earlier value —
   // a reliable way to waste a benchmark run on the wrong parameters.
   OptionParser Parser("test");
-  Parser.addOption("size", "128", "problem size");
+  Parser.addIntOption("size", "128", 0, INT64_MAX, "problem size");
   const char *Argv[] = {"prog", "--size=256", "--size=512"};
   EXPECT_FALSE(Parser.parse(3, Argv));
 }

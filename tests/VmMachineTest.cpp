@@ -662,7 +662,6 @@ struct GoldenRun {
   const char *Source;
   bool Optimize;
   uint64_t SliceLength;
-  size_t BatchCapacity; ///< 0 keeps the dispatcher default
   // Expected results.
   const char *Error; ///< "" when the guest succeeds
   int64_t ExitCode;
@@ -672,37 +671,28 @@ struct GoldenRun {
 };
 
 const GoldenRun GoldenRuns[] = {
-    {"straight_line", StraightLineHeavySource, false, 150, 0,
+    {"straight_line", StraightLineHeavySource, false, 150,
      "", -93, 5410, 0x429ef3e73bcb1a56ull,
      {7817, 403, 3002, 1603, 1, 0, 0, 72, 0, 0, 0}},
-    {"quiet_marked", StraightLineHeavySource, true, 150, 0,
+    {"quiet_marked", StraightLineHeavySource, true, 150,
      "", -93, 3812, 0xec1cbfe900b9e028ull,
      {7817, 403, 3002, 1603, 1, 0, 0, 72, 1598, 2, 0}},
-    {"threads_slice1", MultiThreadedSource, true, 1, 0,
+    {"threads_slice1", MultiThreadedSource, true, 1,
      "", 691, 5329, 0xd68553402070a3ecull,
      {3566, 135, 1637, 516, 3, 3136, 0, 224, 98, 778, 0}},
-    {"threads_slice7", MultiThreadedSource, true, 7, 0,
+    {"threads_slice7", MultiThreadedSource, true, 7,
      "", 691, 2641, 0xce6cff6b97b3619cull,
      {3566, 135, 1637, 516, 3, 450, 0, 224, 98, 778, 0}},
-    {"threads_slice150", MultiThreadedSource, true, 150, 0,
+    {"threads_slice150", MultiThreadedSource, true, 150,
      "", 691, 1430, 0xbdee98e04a28856bull,
      {3566, 135, 1637, 516, 3, 23, 0, 224, 789, 87, 0}},
-    {"straight_line_cap16", StraightLineHeavySource, false, 150, 16,
-     "", -93, 5410, 0x0a83ee46c02ed7a9ull,
-     {7817, 403, 3002, 1603, 1, 0, 0, 72, 0, 0, 0}},
-    {"quiet_marked_cap16", StraightLineHeavySource, true, 150, 16,
-     "", -93, 3813, 0x996855123ac67c07ull,
-     {7817, 403, 3002, 1603, 1, 0, 0, 72, 1598, 2, 0}},
-    {"threads_slice7_cap16", MultiThreadedSource, true, 7, 16,
-     "", 691, 2652, 0x138de8b511fa710bull,
-     {3566, 135, 1637, 516, 3, 450, 0, 224, 98, 778, 0}},
-    {"indirect_builtin", IndirectAndBuiltinSource, true, 150, 0,
+    {"indirect_builtin", IndirectAndBuiltinSource, true, 150,
      "", 63, 91, 0xb11cba5011602b76ull,
      {239, 16, 96, 30, 1, 0, 6, 224, 49, 0, 0}},
-    {"divide_by_zero", DivideByZeroSource, false, 150, 0,
+    {"divide_by_zero", DivideByZeroSource, false, 150,
      "division by zero", 0, 26, 0xc573807c6a3ca080ull,
      {70, 5, 15, 8, 1, 0, 0, 16, 0, 0, 0}},
-    {"invalid_indirect", InvalidIndirectSource, false, 150, 0,
+    {"invalid_indirect", InvalidIndirectSource, false, 150,
      "invalid memory access at address 67", 0, 17, 0xb325497c3ee47859ull,
      {34, 3, 10, 4, 1, 0, 0, 56, 0, 0, 0}},
 };
@@ -716,9 +706,6 @@ TEST(MachineGolden, EventStreamsMatchPinnedDigests) {
     if (G.Optimize)
       optimizeProgram(*Prog);
     EventDispatcher Dispatcher;
-    if (G.BatchCapacity != 0) {
-      ASSERT_TRUE(Dispatcher.setBatchCapacity(G.BatchCapacity));
-    }
     WordSink Sink;
     Dispatcher.setRecordSink(&Sink);
     MachineOptions Opts;
