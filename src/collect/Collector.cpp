@@ -7,7 +7,6 @@
 #include "collect/Collector.h"
 
 #include "core/TrmsProfiler.h"
-#include "instr/Dispatcher.h"
 #include "instr/SymbolTable.h"
 #include "obs/Obs.h"
 #include "obs/TraceLog.h"
@@ -71,12 +70,12 @@ void Collector::ingestOne(const std::string &Path,
         MatchedIds.insert(Id);
       }
 
+  // The stream is already a dispatcher's compacted output, so decoded
+  // records go straight to the profiler's callbacks.
   TrmsProfilerOptions ProfOpts;
   ProfOpts.KeepActivationLog = true;
   TrmsProfiler Profiler(ProfOpts);
-  EventDispatcher Dispatcher;
-  Dispatcher.addTool(&Profiler);
-  Dispatcher.start(&Symbols);
+  Profiler.onStart(&Symbols);
 
   // A chunk may be skipped only when (a) its routine mask proves no
   // filtered routine is called in it and (b) no filtered activation
@@ -134,52 +133,47 @@ void Collector::ingestOne(const std::string &Path,
     return true;
   };
 
-  uint64_t LocalRead = 0, LocalSkipped = 0, LocalEvents = 0;
   uint64_t InFlight = 0;
   std::vector<std::vector<uint64_t>> Stacks;
-  std::vector<Event> Chunk;
-  while (true) {
-    size_t C = Reader.cursor();
-    if (UseFilter && InFlight == 0 && C < Reader.chunkCount() &&
-        Skippable(C)) {
-      Reader.seek(C + 1);
+  auto Forward = [&Profiler](const EventRecord &E) {
+    Profiler.handleEvent(E);
+  };
+  auto ForwardFiltered = [&](const EventRecord &E) {
+    if (E.Kind == EventKind::Call) {
+      if (E.Tid >= Stacks.size())
+        Stacks.resize(static_cast<size_t>(E.Tid) + 1);
+      Stacks[E.Tid].push_back(E.Arg0);
+      if (MatchedIds.count(E.Arg0))
+        InFlight += 1;
+    } else if (E.Kind == EventKind::Return) {
+      std::vector<uint64_t> *S =
+          E.Tid < Stacks.size() ? &Stacks[E.Tid] : nullptr;
+      if (!S || S->empty() || S->back() != E.Arg0)
+        return; // closes a frame opened in a skipped chunk
+      S->pop_back();
+      if (MatchedIds.count(E.Arg0) && InFlight > 0)
+        InFlight -= 1;
+    }
+    Profiler.handleEvent(E);
+  };
+
+  uint64_t LocalRead = 0, LocalSkipped = 0, LocalEvents = 0;
+  for (size_t C = 0; C != Reader.chunkCount(); ++C) {
+    if (UseFilter && InFlight == 0 && Skippable(C)) {
       LocalSkipped += 1;
       continue;
     }
-    if (!Reader.nextChunk(Chunk))
+    if (!(UseFilter ? Reader.forEachEvent(C, ForwardFiltered)
+                    : Reader.forEachEvent(C, Forward)))
       break;
     LocalRead += 1;
     LocalEvents += Reader.chunkEvents(C);
-    EventStreamView View(Chunk);
-    if (!UseFilter) {
-      for (EventRecord E; View.next(E);)
-        Dispatcher.enqueue(E);
-      continue;
-    }
-    for (EventRecord E; View.next(E);) {
-      if (E.Kind == EventKind::Call) {
-        if (E.Tid >= Stacks.size())
-          Stacks.resize(static_cast<size_t>(E.Tid) + 1);
-        Stacks[E.Tid].push_back(E.Arg0);
-        if (MatchedIds.count(E.Arg0))
-          InFlight += 1;
-      } else if (E.Kind == EventKind::Return) {
-        std::vector<uint64_t> *S =
-            E.Tid < Stacks.size() ? &Stacks[E.Tid] : nullptr;
-        if (!S || S->empty() || S->back() != E.Arg0)
-          continue; // closes a frame opened in a skipped chunk
-        S->pop_back();
-        if (MatchedIds.count(E.Arg0) && InFlight > 0)
-          InFlight -= 1;
-      }
-      Dispatcher.enqueue(E);
-    }
   }
   bool Ok = Reader.error().empty();
-  // finish() runs even on error so the dispatcher drains cleanly; the
-  // partial database is simply never merged. On an incomplete stream
-  // it closes the activations still open at the recovered end.
-  Dispatcher.finish();
+  // onFinish runs even on error so the profiler's state is well-formed;
+  // the partial database is simply never merged. On an incomplete
+  // stream it closes the activations still open at the recovered end.
+  Profiler.onFinish();
 
   std::lock_guard<std::mutex> Lock(Mutex);
   Totals.ChunksRead += LocalRead;

@@ -7,9 +7,15 @@
 /// \file
 /// EventDispatcher fans substrate events out to any number of registered
 /// Tools (and optionally a RecordSink that records them); replayTrace
-/// drives a Tool from a recorded trace. Together these decouple analyses
-/// from how the event stream was produced — live VM execution, a trace
-/// file, or a synthetic generator.
+/// drives a Tool from an in-memory trace. Together these decouple
+/// analyses from how the event stream was produced — live VM execution,
+/// a trace file, or a synthetic generator.
+///
+/// The dispatcher serves live runs and multi-tool stream replay
+/// (`isprof replay`) only. A recorded stream is already its compacted
+/// output, so single-tool replay (trace/TraceStream.h) and the fleet
+/// collector hand decoded records straight to the tool and never build
+/// one; their runs emit no `dispatcher.*` or `tool.*` stats counters.
 ///
 /// The hot path is enqueue(): events accumulate in a pending batch of
 /// packed 16-byte stream words (trace/Event.h) that is delivered to the

@@ -53,48 +53,46 @@ constexpr CrcTables Crc = makeCrcTables();
 // Byte codecs
 //===----------------------------------------------------------------------===//
 
-/// Unsigned LEB128 append.
-void writeVarint(std::string &Out, uint64_t V) {
+using detail::Parse;
+
+/// Unsigned LEB128 store at \p P (room for ten bytes); returns the end.
+char *putVarint(char *P, uint64_t V) {
   while (V >= 0x80) {
-    Out.push_back(static_cast<char>((V & 0x7f) | 0x80));
+    *P++ = static_cast<char>((V & 0x7f) | 0x80);
     V >>= 7;
   }
-  Out.push_back(static_cast<char>(V));
+  *P++ = static_cast<char>(V);
+  return P;
 }
 
-/// Why a parse stopped: the bytes ran out (a torn prefix, when the file
-/// ends there) or they are malformed.
-enum class Parse { Ok, Short, Bad };
+/// Little-endian u32 store at \p P; returns the end.
+char *putU32(char *P, uint32_t V) {
+  for (int I = 0; I != 4; ++I)
+    *P++ = static_cast<char>((V >> (8 * I)) & 0xff);
+  return P;
+}
 
-/// Unsigned LEB128 read. A uint64 needs at most ten bytes, and the
-/// tenth may carry only bit 63: a continuation bit or payload bits 64+
-/// there mean the value cannot fit, so it is Bad rather than silently
-/// wrapped.
+void appendVarint(std::string &Out, uint64_t V) {
+  char Bytes[10];
+  Out.append(Bytes, putVarint(Bytes, V));
+}
+
+void appendU32(std::string &Out, uint32_t V) {
+  char Bytes[4];
+  Out.append(Bytes, putU32(Bytes, V));
+}
+
+/// Bounded LEB128 read of \p Bytes[Pos, Size), advancing \p Pos.
 Parse readVarint(const char *Bytes, size_t Size, size_t &Pos, uint64_t &V) {
-  V = 0;
-  for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-    if (Pos >= Size)
-      return Parse::Short;
-    uint8_t Byte = static_cast<uint8_t>(Bytes[Pos++]);
-    if (Shift == 63 && (Byte & 0xfe))
-      return Parse::Bad;
-    V |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
-    if (!(Byte & 0x80))
-      return Parse::Ok;
-  }
-  return Parse::Bad;
+  const auto *Base = reinterpret_cast<const unsigned char *>(Bytes);
+  const unsigned char *P = Base + Pos;
+  Parse R = detail::readVarint(P, Base + Size, V);
+  Pos = static_cast<size_t>(P - Base);
+  return R;
 }
 
 uint64_t zigzag(int64_t V) {
   return (static_cast<uint64_t>(V) << 1) ^ static_cast<uint64_t>(V >> 63);
-}
-int64_t unzigzag(uint64_t V) {
-  return static_cast<int64_t>(V >> 1) ^ -static_cast<int64_t>(V & 1);
-}
-
-void appendU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
 }
 
 uint32_t decodeU32(const char *P) {
@@ -183,7 +181,9 @@ bool TraceStreamWriter::open(
   // The payload length is a u32; cap chunks well below it.
   Options.ChunkBytes =
       std::clamp<size_t>(Options.ChunkBytes, 1, size_t(1) << 30);
-  Buffer.clear();
+  // Room for a full chunk plus the one worst-case event that seals it.
+  Buffer.assign(Options.ChunkBytes + MaxEncodedEventBytes, 0);
+  Used = 0;
   Error.clear();
   ChunkEvents = 0;
   LastTime = 0;
@@ -202,10 +202,10 @@ bool TraceStreamWriter::open(
     return false;
   }
   std::string Table;
-  writeVarint(Table, Routines.size());
+  appendVarint(Table, Routines.size());
   for (const auto &[Id, Name] : Routines) {
-    writeVarint(Table, Id);
-    writeVarint(Table, Name.size());
+    appendVarint(Table, Id);
+    appendVarint(Table, Name.size());
     Table.append(Name);
   }
   if (Table.size() > UINT32_MAX) {
@@ -280,19 +280,23 @@ void TraceStreamWriter::append(const EventRecord &E) {
   if (Failed || !File)
     return;
   noteActivity(E);
-  Buffer.push_back(static_cast<char>(E.Kind));
-  writeVarint(Buffer, E.Tid);
-  writeVarint(Buffer, E.Time - LastTime);
-  LastTime = E.Time;
+  // A chunk seals as soon as it reaches ChunkBytes, so one worst-case
+  // event always fits in the buffer.
+  char *P = Buffer.data() + Used;
   uint8_t K = static_cast<uint8_t>(E.Kind);
-  writeVarint(Buffer, zigzag(static_cast<int64_t>(E.Arg0) -
-                             static_cast<int64_t>(LastArg0[K])));
+  *P++ = static_cast<char>(K);
+  P = putVarint(P, E.Tid);
+  P = putVarint(P, E.Time - LastTime);
+  LastTime = E.Time;
+  // The delta wraps modulo 2^64; the reader adds it back the same way.
+  P = putVarint(P, zigzag(static_cast<int64_t>(E.Arg0 - LastArg0[K])));
   LastArg0[K] = E.Arg0;
-  writeVarint(Buffer, E.Arg1);
+  P = putVarint(P, E.Arg1);
+  Used = static_cast<size_t>(P - Buffer.data());
   ++ChunkEvents;
   ++EventsWritten;
-  PeakBufferedBytes = std::max<uint64_t>(PeakBufferedBytes, Buffer.size());
-  if (Buffer.size() >= Options.ChunkBytes)
+  PeakBufferedBytes = std::max<uint64_t>(PeakBufferedBytes, Used);
+  if (Used >= Options.ChunkBytes)
     sealChunk();
 }
 
@@ -307,20 +311,20 @@ void TraceStreamWriter::recordBatch(const Event *Words, size_t Count) {
 void TraceStreamWriter::sealChunk() {
   if (ChunkEvents == 0)
     return;
-  std::string Header;
-  appendU32(Header, static_cast<uint32_t>(Buffer.size()));
-  writeVarint(Header, ChunkEvents);
-  writeVarint(Header, ChunkRoutineMask);
+  char Header[MaxChunkHeaderBytes];
+  char *P = putU32(Header, static_cast<uint32_t>(Used));
+  P = putVarint(P, ChunkEvents);
+  P = putVarint(P, ChunkRoutineMask);
   for (uint64_t Word : ChunkShardMask)
-    writeVarint(Header, Word);
+    P = putVarint(P, Word);
   for (uint64_t Word : ChunkWrittenMask)
-    writeVarint(Header, Word);
-  appendU32(Header, crc32c(Header.data(), Header.size()));
-  std::string PayloadCrc;
-  appendU32(PayloadCrc, crc32c(Buffer.data(), Buffer.size()));
-  writeRaw(Header.data(), Header.size());
-  writeRaw(Buffer.data(), Buffer.size());
-  writeRaw(PayloadCrc.data(), PayloadCrc.size());
+    P = putVarint(P, Word);
+  P = putU32(P, crc32c(Header, static_cast<size_t>(P - Header)));
+  char PayloadCrc[4];
+  putU32(PayloadCrc, crc32c(Buffer.data(), Used));
+  writeRaw(Header, static_cast<size_t>(P - Header));
+  writeRaw(Buffer.data(), Used);
+  writeRaw(PayloadCrc, sizeof(PayloadCrc));
   // Hand the sealed chunk to the OS, so a reader of the growing file
   // (a watching collector) sees it whole.
   if (!Failed && std::fflush(File) != 0) {
@@ -328,7 +332,7 @@ void TraceStreamWriter::sealChunk() {
     Failed = true;
   }
   ++ChunksWritten;
-  Buffer.clear();
+  Used = 0;
   ChunkEvents = 0;
   ChunkRoutineMask = 0;
   ChunkShardMask = {};
@@ -342,9 +346,8 @@ bool TraceStreamWriter::close() {
   if (!File)
     return !Failed;
   sealChunk();
-  std::string End;
-  appendU32(End, 0);
-  writeRaw(End.data(), End.size());
+  const char End[4] = {0, 0, 0, 0};
+  writeRaw(End, sizeof(End));
   // fclose flushes stdio's buffer; a full disk surfaces here, not in
   // fwrite, so its result is part of the write succeeding.
   if (std::fclose(File) != 0 && !Failed) {
@@ -491,8 +494,7 @@ bool TraceStreamReader::indexChunks(uint64_t Offset, uint64_t FileSize) {
   }
 }
 
-bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
-  Out.clear();
+bool TraceStreamReader::loadPayload(size_t I) {
   if (!File)
     return fail(Error.empty() ? "trace stream is not open" : Error);
   if (I >= Chunks.size()) {
@@ -508,56 +510,27 @@ bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
     return failChunk(I, "truncated chunk: payload cut short");
   if (crc32c(Payload.data(), Len) != decodeU32(Payload.data() + Len))
     return failChunk(I, "corrupt chunk: payload checksum mismatch");
+  return true;
+}
 
-  Out.reserve(Meta.Events);
-  // Per-chunk delta state: every chunk decodes from a clean slate —
-  // both the on-disk delta codec and the packed word encoder, so each
-  // chunk's word run also decodes standalone.
-  const char *Bytes = Payload.data();
-  size_t Pos = 0;
-  uint64_t LastTime = 0;
-  uint64_t LastArg0[32] = {};
+bool TraceStreamReader::readChunk(size_t I, std::vector<Event> &Out) {
+  Out.clear();
+  if (I < Chunks.size())
+    Out.reserve(Chunks[I].Events);
+  // A fresh word encoder per chunk, so each chunk's run decodes
+  // standalone.
   EventEncoder Enc;
   Event Words[Event::MaxWordsPerRecord];
-  for (uint64_t N = 0; N != Meta.Events; ++N) {
-    if (Pos >= Len)
-      return failChunk(I, "corrupt chunk: truncated event");
-    uint8_t KindByte = static_cast<uint8_t>(Bytes[Pos++]);
-    if (KindByte > static_cast<uint8_t>(EventKind::ThreadSwitch))
-      return failChunk(I, "corrupt chunk: invalid event kind");
-    EventRecord E;
-    E.Kind = static_cast<EventKind>(KindByte);
-    uint64_t Tid = 0, TimeDelta = 0, Arg0Delta = 0, Arg1 = 0;
-    if (readVarint(Bytes, Len, Pos, Tid) != Parse::Ok ||
-        readVarint(Bytes, Len, Pos, TimeDelta) != Parse::Ok ||
-        readVarint(Bytes, Len, Pos, Arg0Delta) != Parse::Ok ||
-        readVarint(Bytes, Len, Pos, Arg1) != Parse::Ok)
-      return failChunk(I, "corrupt chunk: bad event varint");
-    if (Tid > UINT32_MAX)
-      return failChunk(I, "corrupt chunk: thread id out of range");
-    E.Tid = static_cast<ThreadId>(Tid);
-    LastTime += TimeDelta;
-    E.Time = LastTime;
-    LastArg0[KindByte] = static_cast<uint64_t>(
-        static_cast<int64_t>(LastArg0[KindByte]) + unzigzag(Arg0Delta));
-    E.Arg0 = LastArg0[KindByte];
-    E.Arg1 = Arg1;
+  return forEachEvent(I, [&](const EventRecord &E) {
     Out.insert(Out.end(), Words, Words + Enc.encode(E, Words));
-  }
-  if (Pos != Len)
-    return failChunk(I, "corrupt chunk: trailing payload bytes");
-  return true;
+  });
 }
 
 bool TraceStreamReader::readChunk(size_t I, std::vector<EventRecord> &Out) {
   Out.clear();
-  if (!readChunk(I, PackedScratch))
-    return false;
-  Out.reserve(packedEventCount(PackedScratch));
-  EventStreamView V(PackedScratch);
-  for (EventRecord E; V.next(E);)
-    Out.push_back(E);
-  return true;
+  if (I < Chunks.size())
+    Out.reserve(Chunks[I].Events);
+  return forEachEvent(I, [&Out](const EventRecord &E) { Out.push_back(E); });
 }
 
 bool TraceStreamReader::nextChunk(std::vector<Event> &Out) {
@@ -593,24 +566,22 @@ bool isp::isTraceStreamFile(const std::string &Path) {
 
 bool isp::replayTraceStream(TraceStreamReader &Reader,
                             EventDispatcher &Dispatcher) {
-  std::vector<Event> Chunk;
-  Reader.seek(0);
-  while (Reader.nextChunk(Chunk)) {
-    EventStreamView V(Chunk);
-    for (EventRecord E; V.next(E);)
-      Dispatcher.enqueue(E);
-  }
+  for (size_t C = 0; C != Reader.chunkCount(); ++C)
+    if (!Reader.forEachEvent(
+            C, [&Dispatcher](const EventRecord &E) { Dispatcher.enqueue(E); }))
+      break;
   return Reader.error().empty();
 }
 
 bool isp::replayTraceStream(TraceStreamReader &Reader, Tool &T,
                             const SymbolTable *Symbols) {
-  EventDispatcher Dispatcher;
-  Dispatcher.addTool(&T);
-  Dispatcher.start(Symbols);
-  bool Ok = replayTraceStream(Reader, Dispatcher);
-  // finish() runs either way so the tool's onFinish leaves partial
-  // results well-formed even when a mid-stream chunk is corrupt.
-  Dispatcher.finish();
-  return Ok;
+  T.onStart(Symbols);
+  for (size_t C = 0; C != Reader.chunkCount(); ++C)
+    if (!Reader.forEachEvent(C,
+                             [&T](const EventRecord &E) { T.handleEvent(E); }))
+      break;
+  // onFinish runs either way, so partial results are well-formed even
+  // when a mid-stream chunk is corrupt.
+  T.onFinish();
+  return Reader.error().empty();
 }

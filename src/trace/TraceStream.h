@@ -64,10 +64,23 @@
 /// chunk reads, and dropping that write would undercount trms
 /// (collect/Collector.cpp has the suffix-union argument).
 ///
-/// In memory, decoded chunks are delivered as packed 16-byte stream
-/// words (trace/Event.h): readers re-encode into the packed form so
-/// replay buffers hold ~2.5x more events per cache line than the wide
-/// record form.
+/// One codec pass each way. The writer encodes each event straight into
+/// the open chunk's byte buffer. The reader has one decode loop,
+/// TraceStreamReader::forEachEvent, which checks the payload CRC, then
+/// decodes the chunk's records one at a time into a consumer:
+///
+///  - readChunk() appends them to a vector, as packed stream words
+///    (trace/Event.h) or as wide records;
+///  - replayTraceStream(Reader, Dispatcher) enqueues them, so several
+///    tools can share one replay (`isprof replay`);
+///  - replayTraceStream(Reader, Tool) hands them to the tool's callbacks
+///    with no dispatcher in between. The stream already is a
+///    dispatcher's compacted output, so a second compaction pass has
+///    nothing to merge that any tool could observe;
+///  - the collector (collect/Collector.cpp) filters them into its
+///    profiler.
+///
+/// No decoded chunk is materialized on the replay and collector paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,6 +127,10 @@ struct TraceStreamOptions {
   size_t ChunkBytes = size_t(1) << 16;
 };
 
+/// The largest encoded event: a kind byte and four varints of at most
+/// ten bytes each.
+inline constexpr size_t MaxEncodedEventBytes = 1 + 4 * 10;
+
 /// Incremental trace writer: events stream to disk chunk by chunk as
 /// they arrive, and each sealed chunk is flushed, so a concurrent or
 /// later reader sees every chunk sealed so far. Implements
@@ -155,7 +172,7 @@ public:
   /// mark over the stream's lifetime — the writer's whole variable
   /// memory cost, which the bounded-memory benchmarks assert stays flat
   /// as the event count grows.
-  uint64_t bufferedBytes() const { return Buffer.size(); }
+  uint64_t bufferedBytes() const { return Used; }
   uint64_t peakBufferedBytes() const { return PeakBufferedBytes; }
 
 private:
@@ -165,7 +182,11 @@ private:
 
   std::FILE *File = nullptr;
   TraceStreamOptions Options;
-  std::string Buffer;
+  /// The open chunk's encoded payload: its first Used bytes. A chunk
+  /// seals once Used reaches ChunkBytes, so open() sizes the buffer to
+  /// ChunkBytes + MaxEncodedEventBytes and every event fits unchecked.
+  std::vector<char> Buffer;
+  size_t Used = 0;
   std::string Error;
   uint64_t ChunkEvents = 0;
   /// Activity accumulated for the open chunk.
@@ -232,11 +253,21 @@ public:
     return Chunks[I].WrittenMask;
   }
 
+  /// Decodes chunk \p I, handing each record in stream order to
+  /// \p Consume (called as `Consume(const EventRecord &)`). This is the
+  /// one decode loop; every other read path is a consumer of it. The
+  /// payload's checksum is verified before the first record is handed
+  /// out, so a damaged chunk yields no records. A payload that passes
+  /// its checksum yet fails to decode (only a hand-built file can) fails
+  /// at the bad field, after the records before it. Returns false with
+  /// a diagnostic on a corrupt chunk.
+  template <typename Consumer> bool forEachEvent(size_t I, Consumer &&Consume);
+
   /// Decodes chunk \p I into packed stream words (cleared first;
   /// capacity is reused across calls). Each chunk's word run decodes
   /// standalone. Returns false with a diagnostic on a corrupt chunk.
   bool readChunk(size_t I, std::vector<Event> &Out);
-  /// Wide-record convenience overload (tests, offline analysis).
+  /// Wide-record overload (tests, offline analysis).
   bool readChunk(size_t I, std::vector<EventRecord> &Out);
 
   /// Sequential cursor: decodes the next unread chunk into \p Out.
@@ -260,6 +291,8 @@ private:
   bool fail(const std::string &Message);
   bool failChunk(size_t Chunk, const std::string &Message);
   bool indexChunks(uint64_t Offset, uint64_t FileSize);
+  /// Reads chunk \p I's payload into Payload and verifies its checksum.
+  bool loadPayload(size_t I);
 
   std::FILE *File = nullptr;
   std::string Error;
@@ -269,10 +302,8 @@ private:
   std::vector<ChunkMeta> Chunks;
   uint64_t TotalEvents = 0;
   size_t Cursor = 0;
-  /// Reused raw-payload buffer (readChunk decodes out of it).
+  /// Reused raw-payload buffer (forEachEvent decodes out of it).
   std::string Payload;
-  /// Reused packed scratch backing the wide readChunk overload.
-  std::vector<Event> PackedScratch;
 };
 
 /// True when \p Path starts with the stream magic; lets spool scans
@@ -280,16 +311,87 @@ private:
 bool isTraceStreamFile(const std::string &Path);
 
 /// Feeds every chunk of \p Reader, from the first, into \p Dispatcher,
-/// which the caller has started and will finish. Returns false on a
-/// corrupt chunk (Reader.error() explains); the events before it have
-/// been enqueued.
+/// which the caller has started and will finish: the multi-tool replay
+/// path. Returns false on a corrupt chunk (Reader.error() explains); the
+/// events before it have been enqueued.
 bool replayTraceStream(TraceStreamReader &Reader, EventDispatcher &Dispatcher);
 
-/// Replays \p Reader's stream into \p T through a batching
-/// EventDispatcher. The tool sees onFinish even after a corrupt chunk,
-/// so partial results are well-formed.
+/// Replays \p Reader's stream into \p T, bracketed by onStart and
+/// onFinish, with each decoded record going straight to the tool's
+/// callbacks (no EventDispatcher). The tool sees onFinish even after a
+/// corrupt chunk, so partial results are well-formed.
 bool replayTraceStream(TraceStreamReader &Reader, Tool &T,
                        const SymbolTable *Symbols = nullptr);
+
+//===----------------------------------------------------------------------===//
+// The decode loop
+//===----------------------------------------------------------------------===//
+
+namespace detail {
+
+/// Why a parse stopped: the bytes ran out (a torn prefix, when the file
+/// ends there) or they are malformed.
+enum class Parse { Ok, Short, Bad };
+
+/// Unsigned LEB128 read from \p P, advancing it, never past \p End. A
+/// uint64 needs at most ten bytes, and the tenth may carry only bit 63:
+/// a continuation bit or payload bits 64+ there mean the value cannot
+/// fit, so it is Bad rather than silently wrapped.
+inline Parse readVarint(const unsigned char *&P, const unsigned char *End,
+                        uint64_t &V) {
+  V = 0;
+  for (unsigned Shift = 0; Shift < 64; Shift += 7) {
+    if (P == End)
+      return Parse::Short;
+    uint8_t Byte = *P++;
+    if (Shift == 63 && (Byte & 0xfe))
+      return Parse::Bad;
+    V |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
+    if (!(Byte & 0x80))
+      return Parse::Ok;
+  }
+  return Parse::Bad;
+}
+
+} // namespace detail
+
+template <typename Consumer>
+bool TraceStreamReader::forEachEvent(size_t I, Consumer &&Consume) {
+  if (!loadPayload(I))
+    return false;
+  const auto *P = reinterpret_cast<const unsigned char *>(Payload.data());
+  const unsigned char *End = P + Chunks[I].PayloadBytes;
+  // Per-chunk delta state: every chunk decodes from a clean slate.
+  uint64_t LastTime = 0;
+  uint64_t LastArg0[32] = {};
+  EventRecord E;
+  for (uint64_t N = Chunks[I].Events; N != 0; --N) {
+    if (P == End)
+      return failChunk(I, "corrupt chunk: truncated event");
+    uint8_t KindByte = *P++;
+    if (KindByte > static_cast<uint8_t>(EventKind::ThreadSwitch))
+      return failChunk(I, "corrupt chunk: invalid event kind");
+    // Tid, time delta, zigzag arg0 delta, arg1.
+    uint64_t F[4];
+    for (uint64_t &V : F)
+      if (detail::readVarint(P, End, V) != detail::Parse::Ok)
+        return failChunk(I, "corrupt chunk: bad event varint");
+    if (F[0] > UINT32_MAX)
+      return failChunk(I, "corrupt chunk: thread id out of range");
+    E.Kind = static_cast<EventKind>(KindByte);
+    E.Tid = static_cast<ThreadId>(F[0]);
+    LastTime += F[1];
+    E.Time = LastTime;
+    // Un-zigzag, then add modulo 2^64 (the writer subtracts that way).
+    LastArg0[KindByte] += (F[2] >> 1) ^ (0 - (F[2] & 1));
+    E.Arg0 = LastArg0[KindByte];
+    E.Arg1 = F[3];
+    Consume(std::as_const(E));
+  }
+  if (P != End)
+    return failChunk(I, "corrupt chunk: trailing payload bytes");
+  return true;
+}
 
 } // namespace isp
 

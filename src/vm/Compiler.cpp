@@ -178,6 +178,18 @@ std::optional<Program> Compiler::compile() {
     if (It == Globals.end())
       continue;
     if (G.IsArray) {
+      // Globals live below the heap: an array that would reach HeapBase
+      // has no addressable cells past it.
+      if (NextAddr > HeapBase || G.ArraySize > HeapBase - NextAddr) {
+        error(G.Loc,
+              formatString("global array '%s' of %llu cells does not fit "
+                           "in the %llu-cell globals region",
+                           G.Name.c_str(),
+                           static_cast<unsigned long long>(G.ArraySize),
+                           static_cast<unsigned long long>(HeapBase -
+                                                           GlobalBase)));
+        continue;
+      }
       // The variable cell holds the array's base address.
       Prog.GlobalInits.push_back(
           {It->second.Address, static_cast<int64_t>(NextAddr)});

@@ -256,6 +256,26 @@ TEST(Driver, WorkloadCommand) {
   EXPECT_NE(R.Output.find("consumer"), std::string::npos);
 }
 
+TEST(Driver, OversizedGlobalsAreACompileErrorNotAnAbort) {
+  // A valid --size so large that md's arrays overflow the globals region
+  // fails to compile, naming the array, and exits 1.
+  CommandResult R = runDriver("workload md --size=9223372036854775807");
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("failed to compile"), std::string::npos) << R.Output;
+  EXPECT_NE(R.Output.find("global array 'pos'"), std::string::npos)
+      << R.Output;
+
+  std::string Path = ::testing::TempDir() + "isprof_driver_big.mini";
+  writeFileBytes(Path,
+                 "var big[5000000];\nfn main() { big[4194300] = 9; }\n");
+  R = runDriver("run " + Path);
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("global array 'big' of 5000000 cells does not fit"),
+            std::string::npos)
+      << R.Output;
+  std::remove(Path.c_str());
+}
+
 /// The "--- Name ---" report section of \p Output, up to the next
 /// section header (or the end).
 std::string reportSection(const std::string &Output, const std::string &Name) {

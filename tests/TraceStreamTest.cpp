@@ -11,15 +11,19 @@
 //  - chunks decode independently (out-of-order readChunk) — the property
 //    chunk-level seek relies on;
 //  - the dispatcher RecordSink hook writes exactly the stream the
-//    dispatcher delivers;
+//    dispatcher delivers, and the workload streams match pinned bytes;
+//  - replay straight into a tool, replay through a dispatcher and the
+//    live run give the same trms profile, also on a cut or corrupt
+//    stream;
 //  - writer memory (peakBufferedBytes) is bounded by one chunk no matter
 //    how many events stream through;
 //  - the prefix policy: every prefix of a stream opens with exactly its
 //    complete chunks and reports itself incomplete;
 //  - every single-bit flip in a chunk is caught by a checksum and named
 //    by chunk, before any event or mask it guards is used;
-//  - hand-built hostile chunks with valid checksums — overlong varints,
-//    event counts that do not fit, bytes after the end marker — are
+//  - hand-built hostile chunks with valid checksums — overlong varints
+//    (also at the head of a long payload, where the decoder reads whole
+//    words), event counts that do not fit, bytes after the end marker — are
 //    rejected with a diagnostic, never crash, and never allocate beyond
 //    what the actual file bytes can back.
 //
@@ -28,12 +32,18 @@
 #include "TestUtil.h"
 #include "core/TrmsProfiler.h"
 #include "trace/Synthetic.h"
+#include "tools/ToolRegistry.h"
 #include "trace/TraceStream.h"
+#include "vm/Compiler.h"
+#include "vm/Diag.h"
+#include "workloads/Runner.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -405,6 +415,232 @@ TEST(TraceStream, WriterMemoryIsBoundedByOneChunk) {
   }
 }
 
+/// The bytes of the stream that \p Workload records at \p Size on two
+/// threads in chunks of \p ChunkBytes, written through the dispatcher's
+/// record sink as `isprof workload --record-stream` writes it.
+std::string recordWorkloadStream(const char *Workload, uint64_t Size,
+                                 size_t ChunkBytes) {
+  const WorkloadInfo *W = findWorkload(Workload);
+  EXPECT_NE(W, nullptr) << Workload;
+  if (!W)
+    return {};
+  WorkloadParams Params;
+  Params.Threads = 2;
+  Params.Size = Size;
+  std::string Error;
+  std::optional<Program> Prog = compileWorkload(*W, Params, &Error);
+  EXPECT_TRUE(Prog.has_value()) << Error;
+  if (!Prog)
+    return {};
+  std::string Path = tempPath("isprof_stream_golden.strm");
+  TraceStreamWriter Writer;
+  TraceStreamOptions Opts;
+  Opts.ChunkBytes = ChunkBytes;
+  EXPECT_TRUE(Writer.open(Path, Prog->Symbols.entries(), Opts))
+      << Writer.error();
+  EventDispatcher Dispatcher;
+  Dispatcher.setRecordSink(&Writer);
+  Machine M(*Prog, &Dispatcher, MachineOptions());
+  RunResult Result = M.run();
+  EXPECT_TRUE(Result.Ok) << Result.Error;
+  EXPECT_TRUE(Writer.close()) << Writer.error();
+  std::string Bytes = readFile(Path);
+  std::remove(Path.c_str());
+  return Bytes;
+}
+
+TEST(TraceStream, WorkloadStreamsMatchGoldenBytes) {
+  // The on-disk format is pinned byte for byte: these lengths and
+  // CRC32Cs are of the streams the per-byte reference writer recorded,
+  // so any writer change that moves a single byte fails here.
+  // The 1 KiB rows seal dozens of chunks, each resetting the delta
+  // state and the activity masks.
+  struct Golden {
+    const char *Workload;
+    size_t ChunkBytes;
+    size_t Bytes;
+    uint32_t Crc;
+  };
+  const size_t Default = TraceStreamOptions().ChunkBytes;
+  for (const Golden &G : {Golden{"md", Default, 26529, 0x5b7d8dad},
+                          Golden{"dbserver", Default, 69094, 0x257ba652},
+                          Golden{"vips_pipeline", Default, 50893, 0xb09a8d04},
+                          Golden{"md", 1024, 27238, 0x2235a91b},
+                          Golden{"dbserver", 1024, 70886, 0x5cd3981d},
+                          Golden{"vips_pipeline", 1024, 52250, 0x516f8867}}) {
+    SCOPED_TRACE(std::string(G.Workload) + " in chunks of " +
+                 std::to_string(G.ChunkBytes) + " bytes");
+    std::string Bytes = recordWorkloadStream(G.Workload, 16, G.ChunkBytes);
+    EXPECT_EQ(Bytes.size(), G.Bytes);
+    EXPECT_EQ(crc32c(Bytes.data(), Bytes.size()), G.Crc);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Replay paths: direct ≡ dispatcher ≡ live
+//===----------------------------------------------------------------------===//
+
+/// What a logged TrmsProfiler run leaves behind.
+struct TrmsOutcome {
+  std::vector<ActivationRecord> Log;
+  uint64_t InducedThread = 0, InducedExternal = 0, PlainFirst = 0, Reads = 0;
+  std::string Report;
+};
+
+TrmsProfilerOptions loggedTrms() {
+  TrmsProfilerOptions Opts;
+  Opts.KeepActivationLog = true;
+  return Opts;
+}
+
+TrmsOutcome outcomeOf(TrmsProfiler &P, const SymbolTable &Symbols) {
+  const ProfileDatabase &Db = P.database();
+  return {Db.log(),          Db.GlobalInducedThread,
+          Db.GlobalInducedExternal, Db.GlobalPlainFirstAccesses,
+          Db.GlobalReads,    renderToolReport(P, &Symbols)};
+}
+
+void expectSameOutcome(const TrmsOutcome &Got, const TrmsOutcome &Want,
+                       const char *Path) {
+  SCOPED_TRACE(Path);
+  ASSERT_EQ(Got.Log.size(), Want.Log.size());
+  for (size_t I = 0; I != Want.Log.size(); ++I)
+    ASSERT_EQ(Got.Log[I], Want.Log[I]) << "activation " << I;
+  EXPECT_EQ(Got.InducedThread, Want.InducedThread);
+  EXPECT_EQ(Got.InducedExternal, Want.InducedExternal);
+  EXPECT_EQ(Got.PlainFirst, Want.PlainFirst);
+  EXPECT_EQ(Got.Reads, Want.Reads);
+  EXPECT_EQ(Got.Report, Want.Report);
+}
+
+/// Replays the stream in \p Bytes through the direct (Tool) path and the
+/// dispatcher path; both must return \p WantOk and reproduce \p Want.
+void expectReplayPathsGive(const std::string &Bytes, bool WantOk,
+                           const TrmsOutcome &Want) {
+  std::string Path = tempPath("isprof_stream_paths.strm");
+  writeFile(Path, Bytes);
+  {
+    TraceStreamReader Reader;
+    ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+    SymbolTable Symbols;
+    for (const auto &[Id, Name] : Reader.routines())
+      Symbols.intern(Name);
+    TrmsProfiler Direct(loggedTrms());
+    EXPECT_EQ(replayTraceStream(Reader, Direct, &Symbols), WantOk)
+        << Reader.error();
+    expectSameOutcome(outcomeOf(Direct, Symbols), Want, "direct replay");
+  }
+  {
+    TraceStreamReader Reader;
+    ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+    SymbolTable Symbols;
+    for (const auto &[Id, Name] : Reader.routines())
+      Symbols.intern(Name);
+    TrmsProfiler Batched(loggedTrms());
+    EventDispatcher Dispatcher;
+    Dispatcher.addTool(&Batched);
+    Dispatcher.start(&Symbols);
+    EXPECT_EQ(replayTraceStream(Reader, Dispatcher), WantOk) << Reader.error();
+    Dispatcher.finish();
+    expectSameOutcome(outcomeOf(Batched, Symbols), Want, "dispatcher replay");
+  }
+  std::remove(Path.c_str());
+}
+
+/// The outcome of replaying, event by event with no dispatcher, the
+/// records of the first \p Chunks chunks of the stream in \p Bytes.
+TrmsOutcome referenceOfPrefix(const std::string &Bytes, size_t Chunks) {
+  std::string Path = tempPath("isprof_stream_pathsref.strm");
+  writeFile(Path, Bytes);
+  TraceStreamReader Reader;
+  EXPECT_TRUE(Reader.open(Path)) << Reader.error();
+  SymbolTable Symbols;
+  for (const auto &[Id, Name] : Reader.routines())
+    Symbols.intern(Name);
+  std::vector<EventRecord> Events, Chunk;
+  for (size_t I = 0; I != Chunks; ++I) {
+    EXPECT_TRUE(Reader.readChunk(I, Chunk)) << Reader.error();
+    Events.insert(Events.end(), Chunk.begin(), Chunk.end());
+  }
+  std::remove(Path.c_str());
+  TrmsProfiler P(loggedTrms());
+  replayTrace(Events, P, &Symbols);
+  return outcomeOf(P, Symbols);
+}
+
+/// Runs \p Prog live under a logged TrmsProfiler while recording its
+/// stream in small chunks; checks that both replay paths reproduce the
+/// live outcome on the whole stream, and the outcome of the surviving
+/// chunks on a prefix cut inside a middle chunk and on a stream whose
+/// middle chunk is corrupt.
+void checkReplayPaths(const Program &Prog) {
+  std::string Path = tempPath("isprof_stream_live.strm");
+  TraceStreamOptions Opts;
+  Opts.ChunkBytes = 32; // even the shortest example spans 3+ chunks
+  TraceStreamWriter Writer;
+  ASSERT_TRUE(Writer.open(Path, Prog.Symbols.entries(), Opts))
+      << Writer.error();
+  TrmsProfiler Live(loggedTrms());
+  EventDispatcher Dispatcher;
+  Dispatcher.addTool(&Live);
+  Dispatcher.setRecordSink(&Writer);
+  Machine M(Prog, &Dispatcher, MachineOptions());
+  RunResult Result = M.run();
+  ASSERT_TRUE(Result.Ok) << Result.Error;
+  ASSERT_TRUE(Writer.close()) << Writer.error();
+  std::string Bytes = readFile(Path);
+  std::remove(Path.c_str());
+
+  SCOPED_TRACE("whole stream");
+  expectReplayPathsGive(Bytes, true, outcomeOf(Live, Prog.Symbols));
+
+  StreamLayout L = layoutOf(Bytes);
+  ASSERT_GE(L.Chunks.size(), 3u);
+  size_t Mid = L.Chunks.size() / 2;
+  TrmsOutcome Survivors = referenceOfPrefix(Bytes, Mid);
+  {
+    SCOPED_TRACE("prefix cut inside chunk " + std::to_string(Mid));
+    expectReplayPathsGive(Bytes.substr(0, L.Chunks[Mid].Payload + 3), true,
+                          Survivors);
+  }
+  {
+    SCOPED_TRACE("chunk " + std::to_string(Mid) + " corrupt");
+    std::string Corrupt = Bytes;
+    Corrupt[L.Chunks[Mid].Payload + 1] ^= 0x10;
+    expectReplayPathsGive(Corrupt, false, Survivors);
+  }
+}
+
+TEST(TraceStreamReplayPaths, ExampleGuestsAgreeOnEveryPath) {
+  size_t Guests = 0;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(ISPROF_GUEST_DIR)) {
+    if (Entry.path().extension() != ".mini")
+      continue;
+    SCOPED_TRACE(Entry.path().filename().string());
+    DiagnosticEngine Diags;
+    std::optional<Program> Prog =
+        compileProgram(readFile(Entry.path().string()), Diags);
+    ASSERT_TRUE(Prog.has_value()) << Diags.render();
+    checkReplayPaths(*Prog);
+    ++Guests;
+  }
+  EXPECT_GE(Guests, 9u);
+}
+
+TEST(TraceStreamReplayPaths, WorkloadGuestsAgreeOnEveryPath) {
+  for (const char *Name : {"md", "dbserver", "vips_pipeline"}) {
+    SCOPED_TRACE(Name);
+    WorkloadParams Params;
+    Params.Size = 16;
+    std::string Error;
+    std::optional<Program> Prog =
+        compileWorkload(*findWorkload(Name), Params, &Error);
+    ASSERT_TRUE(Prog.has_value()) << Error;
+    checkReplayPaths(*Prog);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Prefix policy and checksums
 //===----------------------------------------------------------------------===//
@@ -692,6 +928,99 @@ TEST(TraceStreamHardening, RejectsOverlongVarintInsideChunk) {
   B2.addChunk(Wrap, 1);
   Diag = probeStream(B2.finish(), "isprof_stream_overlong2.strm");
   EXPECT_NE(Diag.find("corrupt chunk"), std::string::npos) << Diag;
+}
+
+TEST(TraceStreamHardening, RejectsBadFieldsAtTheHeadOfALongPayload) {
+  // Each hostile field sits at the head of a payload of well over 256
+  // bytes, far from its end: the decoder must catch it from the field
+  // itself, not from running out of payload.
+  const uint64_t Filler = 60; // five-byte events after the bad one
+  auto Probe = [&](const std::string &Head, const char *Name) {
+    std::string Payload = Head;
+    for (uint64_t I = 0; I != Filler; ++I)
+      appendEvent(Payload);
+    EXPECT_GE(Payload.size(), 256u);
+    StreamBuilder B;
+    B.addChunk(Payload, 1 + Filler);
+    return probeStream(B.finish(), Name);
+  };
+
+  std::string Overlong;
+  Overlong.push_back(0);
+  appendVarint(Overlong, 0);
+  for (int I = 0; I != 10; ++I)
+    Overlong.push_back(static_cast<char>(0x81));
+  Overlong.push_back(0x00); // an eleven-byte time delta
+  appendVarint(Overlong, 0);
+  appendVarint(Overlong, 0);
+  std::string Diag = Probe(Overlong, "isprof_stream_longoverlong.strm");
+  EXPECT_NE(Diag.find("chunk 0: corrupt chunk: bad event varint"),
+            std::string::npos)
+      << Diag;
+
+  std::string Wrap;
+  Wrap.push_back(0);
+  appendVarint(Wrap, 0);
+  for (int I = 0; I != 9; ++I)
+    Wrap.push_back(static_cast<char>(0x80));
+  Wrap.push_back(0x02); // a tenth byte carrying bit 64
+  appendVarint(Wrap, 0);
+  appendVarint(Wrap, 0);
+  Diag = Probe(Wrap, "isprof_stream_longwrap.strm");
+  EXPECT_NE(Diag.find("chunk 0: corrupt chunk: bad event varint"),
+            std::string::npos)
+      << Diag;
+
+  std::string BigTid;
+  appendEvent(BigTid, uint64_t(UINT32_MAX) + 1);
+  Diag = Probe(BigTid, "isprof_stream_longbigtid.strm");
+  EXPECT_NE(Diag.find("chunk 0: corrupt chunk: thread id out of range"),
+            std::string::npos)
+      << Diag;
+
+  // The control: the same long payload with a good head is accepted.
+  std::string Good;
+  appendEvent(Good);
+  EXPECT_EQ(Probe(Good, "isprof_stream_longgood.strm"), "");
+}
+
+TEST(TraceStreamHardening, FinalEventNearThePayloadEndIsBoundsChecked) {
+  // Less than a worst-case event's worth of payload is left for the
+  // final event: one cut short fails cleanly, while one whose four
+  // fields are ten-byte varints still decodes.
+  // Six-byte events, so the header's count may exceed the payload's.
+  std::string Long;
+  for (int I = 0; I != 60; ++I)
+    appendEvent(Long, 0, 1, 0, 200);
+  const uint64_t Events = 60;
+
+  std::string Cut = Long;
+  Cut.push_back(0);           // kind
+  appendVarint(Cut, 0);       // tid
+  Cut.push_back(static_cast<char>(0x81));
+  Cut.push_back(static_cast<char>(0x81)); // time delta runs off the end
+  StreamBuilder B;
+  B.addChunk(Cut, Events + 1);
+  std::string Diag = probeStream(B.finish(), "isprof_stream_cutfinal.strm");
+  EXPECT_NE(Diag.find("chunk 0: corrupt chunk: bad event varint"),
+            std::string::npos)
+      << Diag;
+
+  // One event fewer than the header claims: the kind byte is missing.
+  StreamBuilder B2;
+  B2.addChunk(Long, Events + 1);
+  Diag = probeStream(B2.finish(), "isprof_stream_missingfinal.strm");
+  EXPECT_NE(Diag.find("chunk 0: corrupt chunk: truncated event"),
+            std::string::npos)
+      << Diag;
+
+  std::string Widest = Long;
+  Widest.push_back(0);
+  for (int Field = 0; Field != 4; ++Field)
+    appendVarint(Widest, Field == 0 ? UINT32_MAX : UINT64_MAX);
+  StreamBuilder B3;
+  B3.addChunk(Widest, Events + 1);
+  EXPECT_EQ(probeStream(B3.finish(), "isprof_stream_widefinal.strm"), "");
 }
 
 TEST(TraceStreamHardening, RejectsOversizedThreadId) {

@@ -211,6 +211,32 @@ TEST(Machine, CompileErrorsSurfaceInResult) {
   EXPECT_NE(R.Error.find("compile error"), std::string::npos);
 }
 
+TEST(Machine, GlobalArraysMustFitBelowTheHeap) {
+  // Globals live in [GlobalBase, HeapBase). An array reaching past
+  // HeapBase would compile to cells no load or store can address, so it
+  // is a compile error naming the array, not a runtime fault on an
+  // in-bounds index.
+  RunResult R =
+      run("var big[5000000]; fn main() { big[4194300] = 9; return 0; }");
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("global array 'big' of 5000000 cells does not fit"),
+            std::string::npos)
+      << R.Error;
+
+  // The largest array that fits (after its one variable cell) has every
+  // cell addressable, the last included; one more cell does not fit.
+  uint64_t Fits = HeapBase - GlobalBase - 1;
+  auto Source = [](uint64_t Cells) {
+    std::string Last = std::to_string(Cells - 1);
+    return "var big[" + std::to_string(Cells) + "]; fn main() { big[" +
+           Last + "] = 9; print(big[" + Last + "]); return 0; }";
+  };
+  EXPECT_EQ(runOutput(Source(Fits)), "9\n");
+  R = run(Source(Fits + 1));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("global array 'big'"), std::string::npos) << R.Error;
+}
+
 //===----------------------------------------------------------------------===//
 // Threads and synchronization
 //===----------------------------------------------------------------------===//
