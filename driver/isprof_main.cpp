@@ -413,18 +413,24 @@ int commandReplay(OptionParser &Options) {
   ToolSet Tools;
   if (!Tools.create(Options.getString("tools")))
     return 2;
-  EventDispatcher Dispatcher;
-  Tools.attach(Dispatcher);
 
-  // Bounded-memory replay: one chunk at a time through the batching
-  // hot path.
+  // Bounded-memory replay: one chunk at a time. One tool takes the
+  // decoded records straight; only several tools need a dispatcher to
+  // fan out to.
   TraceStreamReader Reader;
   SymbolTable Symbols;
   if (!openStream(StreamPath, Reader, Symbols))
     return 1;
-  Dispatcher.start(&Symbols);
-  bool ReadOk = replayTraceStream(Reader, Dispatcher);
-  Dispatcher.finish();
+  bool ReadOk;
+  if (Tools.Fronts.size() == 1) {
+    ReadOk = replayTraceStream(Reader, *Tools.Fronts.front(), &Symbols);
+  } else {
+    EventDispatcher Dispatcher;
+    Tools.attach(Dispatcher);
+    Dispatcher.start(&Symbols);
+    ReadOk = replayTraceStream(Reader, Dispatcher);
+    Dispatcher.finish();
+  }
   if (!ReadOk) {
     std::fprintf(stderr, "isprof: stream %s: %s\n", StreamPath.c_str(),
                  Reader.error().c_str());
@@ -874,7 +880,7 @@ int main(int Argc, char **Argv) {
                        "(collect) concurrent ingestion threads (0 = auto)");
   Options.addOption("routine", "",
                     "(collect) comma-separated routine filter; provably "
-                    "excluded chunks are skipped via v2 bitmaps");
+                    "excluded chunks are skipped via the chunk activity masks");
   Options.addOption("program", "",
                     "(collect) program label for ingested streams "
                     "(default: each file's stem)");

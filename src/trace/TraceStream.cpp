@@ -11,7 +11,7 @@
 
 using namespace isp;
 
-static const char StreamMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '4'};
+static const char StreamMagic[8] = {'I', 'S', 'P', 'S', 'T', 'M', '0', '5'};
 static constexpr size_t MagicBytes = sizeof(StreamMagic);
 
 /// The largest chunk header: the u32 length, ten varints of at most ten
@@ -19,8 +19,9 @@ static constexpr size_t MagicBytes = sizeof(StreamMagic);
 /// and the u32 header CRC.
 static constexpr size_t MaxChunkHeaderBytes = 4 + 10 * 10 + 4;
 
-/// The smallest encoded event: a kind byte and four one-byte varints.
-static constexpr uint64_t MinEventBytes = 5;
+/// The smallest encoded event: a tag byte, a one-byte time delta and a
+/// one-byte arg0 delta.
+static constexpr uint64_t MinEventBytes = 3;
 
 namespace {
 
@@ -186,8 +187,7 @@ bool TraceStreamWriter::open(
   Used = 0;
   Error.clear();
   ChunkEvents = 0;
-  LastTime = 0;
-  std::memset(LastArg0, 0, sizeof(LastArg0));
+  resetDeltaState();
   EventsWritten = 0;
   ChunksWritten = 0;
   BytesWritten = 0;
@@ -249,19 +249,19 @@ static void noteShardRange(ShardActivityMask &Mask, Addr A, uint64_t Cells) {
   }
 }
 
-void TraceStreamWriter::noteActivity(const EventRecord &E) {
-  switch (E.Kind) {
+void TraceStreamWriter::noteActivity(EventKind Kind, Addr A, uint64_t Cells) {
+  switch (Kind) {
   case EventKind::Call:
-    ChunkRoutineMask |= uint64_t(1) << (E.Arg0 & 63);
+    ChunkRoutineMask |= uint64_t(1) << (A & 63);
     return;
   case EventKind::Read:
   case EventKind::KernelRead:
-    noteShardRange(ChunkShardMask, E.Arg0, E.Arg1);
+    noteShardRange(ChunkShardMask, A, Cells);
     return;
   case EventKind::Write:
   case EventKind::KernelWrite:
-    noteShardRange(ChunkShardMask, E.Arg0, E.Arg1);
-    noteShardRange(ChunkWrittenMask, E.Arg0, E.Arg1);
+    noteShardRange(ChunkShardMask, A, Cells);
+    noteShardRange(ChunkWrittenMask, A, Cells);
     return;
   case EventKind::Alloc:
     // Allocation defines memory (shadow state changes) without a Read
@@ -269,29 +269,46 @@ void TraceStreamWriter::noteActivity(const EventRecord &E) {
     // mutation, so it contributes to the written mask. It stays out of
     // the access-shard mask, whose consumers route only memory-access
     // events.
-    noteShardRange(ChunkWrittenMask, E.Arg0, E.Arg1);
+    noteShardRange(ChunkWrittenMask, A, Cells);
     return;
   default:
     return;
   }
 }
 
-void TraceStreamWriter::append(const EventRecord &E) {
-  if (Failed || !File)
-    return;
-  noteActivity(E);
+void TraceStreamWriter::resetDeltaState() {
+  LastTid = 0;
+  LastTime = 0;
+  std::memset(LastArg0, 0, sizeof(LastArg0));
+}
+
+void TraceStreamWriter::encodeEvent(EventKind Kind, ThreadId Tid,
+                                    uint64_t Time, uint64_t Arg0,
+                                    uint64_t Arg1) {
+  noteActivity(Kind, Arg0, Arg1);
+  unsigned K = static_cast<unsigned>(Kind);
+  unsigned Region =
+      (EventTag::AddressKinds >> K & 1) ? EventTag::region(Arg0) : 0;
+  bool DefaultArg1 = Arg1 == eventSecondaryDefault(Kind);
+  bool SameTid = Tid == LastTid;
   // A chunk seals as soon as it reaches ChunkBytes, so one worst-case
   // event always fits in the buffer.
   char *P = Buffer.data() + Used;
-  uint8_t K = static_cast<uint8_t>(E.Kind);
-  *P++ = static_cast<char>(K);
-  P = putVarint(P, E.Tid);
-  P = putVarint(P, E.Time - LastTime);
-  LastTime = E.Time;
+  *P++ = static_cast<char>(K | (DefaultArg1 ? EventTag::DefaultArg1 : 0) |
+                           (SameTid ? EventTag::SameTid : 0) |
+                           Region << EventTag::RegionShift);
+  if (!SameTid) {
+    P = putVarint(P, Tid);
+    LastTid = Tid;
+  }
+  P = putVarint(P, Time - LastTime);
+  LastTime = Time;
   // The delta wraps modulo 2^64; the reader adds it back the same way.
-  P = putVarint(P, zigzag(static_cast<int64_t>(E.Arg0 - LastArg0[K])));
-  LastArg0[K] = E.Arg0;
-  P = putVarint(P, E.Arg1);
+  uint64_t &Pred = LastArg0[K][Region];
+  P = putVarint(P, zigzag(static_cast<int64_t>(Arg0 - Pred)));
+  Pred = Arg0;
+  if (!DefaultArg1)
+    P = putVarint(P, Arg1);
   Used = static_cast<size_t>(P - Buffer.data());
   ++ChunkEvents;
   ++EventsWritten;
@@ -300,12 +317,51 @@ void TraceStreamWriter::append(const EventRecord &E) {
     sealChunk();
 }
 
+void TraceStreamWriter::append(const EventRecord &E) {
+  // A fresh encoder, so the words decode standalone like a batch.
+  Event Words[Event::MaxWordsPerRecord];
+  recordBatch(Words, EventEncoder().encode(E, Words));
+}
+
 void TraceStreamWriter::recordBatch(const Event *Words, size_t Count) {
-  // Every flushed batch decodes standalone; re-encode into the on-disk
-  // delta codec one record at a time.
-  EventStreamView V(Words, Count);
-  for (EventRecord E; V.next(E);)
-    append(E);
+  if (Failed || !File)
+    return;
+  // The word decoder's time base, inlined (trace/Event.h): every batch
+  // starts at epoch zero, an escape word sets the epoch, and a TimeLow
+  // below the previous one means the low half wrapped.
+  uint64_t Epoch = 0;
+  uint32_t PrevLow = 0;
+  const Event *W = Words, *End = Words + Count;
+  while (W != End) {
+    const Event &Main = *W++;
+    if (Main.isEscape()) {
+      Epoch = Main.Arg;
+      PrevLow = 0;
+      continue;
+    }
+    if (Main.TimeLow < PrevLow)
+      ++Epoch;
+    PrevLow = Main.TimeLow;
+    EventKind Kind = Main.kind();
+    ThreadId Tid = Main.inlineTid();
+    uint64_t Secondary = eventSecondaryDefault(Kind);
+    if (Main.hasFollow()) {
+      if (W == End)
+        return; // a record cut mid-way ends the batch, as in EventDecoder
+      Secondary = W->Arg;
+      if (W->TimeLow != 0)
+        Tid = W->TimeLow;
+      ++W;
+    }
+    uint64_t Time = Epoch << 32 | Main.TimeLow;
+    // BasicBlock keeps its count (Arg1) in the main word.
+    if (Kind == EventKind::BasicBlock)
+      encodeEvent(Kind, Tid, Time, Secondary, Main.Arg);
+    else
+      encodeEvent(Kind, Tid, Time, Main.Arg, Secondary);
+    if (Failed)
+      return;
+  }
 }
 
 void TraceStreamWriter::sealChunk() {
@@ -337,9 +393,8 @@ void TraceStreamWriter::sealChunk() {
   ChunkRoutineMask = 0;
   ChunkShardMask = {};
   ChunkWrittenMask = {};
-  // Reset the delta state: each chunk decodes independently.
-  LastTime = 0;
-  std::memset(LastArg0, 0, sizeof(LastArg0));
+  // Each chunk decodes independently.
+  resetDeltaState();
 }
 
 bool TraceStreamWriter::close() {

@@ -10,7 +10,7 @@
 /// materializes the whole event vector and replaying one never loads
 /// more than a single chunk.
 ///
-/// Stream layout (magic "ISPSTM04"; all integers little-endian, varints
+/// Stream layout (magic "ISPSTM05"; all integers little-endian, varints
 /// unsigned LEB128):
 ///
 ///   header  : magic | u32 routine-table length
@@ -24,11 +24,29 @@
 ///             | 4 x varint shard-activity mask words
 ///             | 4 x varint written-shard mask words
 ///             | u32 CRC32C of the header fields before it
-///   payload : packed events (kind byte, then varint tid, time delta,
-///             zigzag arg0 delta per kind, arg1), with the delta state
-///             RESET at each chunk start so every chunk decodes
-///             independently
+///   payload : packed events, with the delta state RESET at each chunk
+///             start so every chunk decodes independently
 ///   end     : u32 0, written by close()
+///
+/// An event is a tag byte and two to four varints:
+///
+///   tag   [tid] time-delta arg0-delta [arg1]
+///
+/// | tag bits | field                                                   |
+/// |----------|---------------------------------------------------------|
+/// | 0..3     | event kind (16 kinds; ThreadSwitch is 15)               |
+/// | 4        | Arg1 is eventSecondaryDefault(kind): no arg1 varint     |
+/// | 5        | tid is the previous event's tid: no tid varint          |
+/// | 6..7     | address region of Arg0, memory kinds only: 0 globals    |
+/// |          | (< 2^22), 1 heap ([2^22, 2^24)), 2 stacks (>= 2^24)     |
+///
+/// The time delta is against the previous event's time. The arg0 delta
+/// is zigzag-encoded against the last Arg0 of the same (kind, region),
+/// so an access that moves between the globals, heap and stack regions
+/// costs a short delta inside its own region rather than the distance
+/// between regions. The previous tid, time and every Arg0 predictor
+/// start at 0 in each chunk. A tag whose region bits are set on a
+/// non-memory kind, or name region 3, is corrupt.
 ///
 /// Each chunk describes itself, so the chunk headers are the index:
 /// open() walks them, checking each header's CRC and seeking past the
@@ -118,6 +136,40 @@ using ShardActivityMask = std::array<uint64_t, 4>;
 /// guards the stream header, every chunk header and every payload.
 uint32_t crc32c(const void *Data, size_t Size);
 
+/// The guest address regions the event codec predicts Arg0 within (the
+/// VM's layout, statically asserted in vm/Bytecode.h): globals below
+/// HeapRegionStart, the heap below StackRegionStart, stacks above.
+inline constexpr Addr HeapRegionStart = Addr(1) << 22;
+inline constexpr Addr StackRegionStart = Addr(1) << 24;
+
+/// Tag-byte fields of an encoded event (see the layout above).
+struct EventTag {
+  static constexpr uint8_t KindMask = 0x0f;
+  static constexpr uint8_t DefaultArg1 = 0x10;
+  static constexpr uint8_t SameTid = 0x20;
+  static constexpr unsigned RegionShift = 6;
+  /// Regions 0..2; region 3 is never written.
+  static constexpr unsigned Regions = 3;
+  static constexpr unsigned Kinds = 16;
+  /// Bit `k` is set when kind `k` carries an address in Arg0 and so a
+  /// region in its tag: Read, Write, KernelRead, KernelWrite, Alloc and
+  /// Free.
+  static constexpr uint16_t AddressKinds =
+      1u << unsigned(EventKind::Read) | 1u << unsigned(EventKind::Write) |
+      1u << unsigned(EventKind::KernelRead) |
+      1u << unsigned(EventKind::KernelWrite) |
+      1u << unsigned(EventKind::Alloc) | 1u << unsigned(EventKind::Free);
+
+  /// The region of address \p A: 0, 1 or 2.
+  static constexpr unsigned region(Addr A) {
+    return unsigned(A >= HeapRegionStart) + unsigned(A >= StackRegionStart);
+  }
+};
+
+static_assert(static_cast<unsigned>(EventKind::ThreadSwitch) ==
+                  EventTag::Kinds - 1,
+              "every event kind must fit the tag's four kind bits");
+
 struct TraceStreamOptions {
   /// Target chunk payload size. A chunk is sealed when its encoded
   /// payload reaches this many bytes, so writer memory is bounded by
@@ -127,7 +179,7 @@ struct TraceStreamOptions {
   size_t ChunkBytes = size_t(1) << 16;
 };
 
-/// The largest encoded event: a kind byte and four varints of at most
+/// The largest encoded event: a tag byte and four varints of at most
 /// ten bytes each.
 inline constexpr size_t MaxEncodedEventBytes = 1 + 4 * 10;
 
@@ -151,10 +203,13 @@ public:
 
   /// Appends one event to the current chunk, sealing it to disk when
   /// the target payload size is reached. I/O errors are sticky: the
-  /// writer goes inert and close() reports the failure.
+  /// writer goes inert and close() reports the failure. The record is
+  /// packed into stream words and goes through recordBatch, so records
+  /// and dispatcher batches share one encoder.
   void append(const EventRecord &E);
   /// Appends a flushed dispatcher batch of packed stream words (the
-  /// RecordSink hook); each batch decodes standalone.
+  /// RecordSink hook), encoding each event straight from its words; each
+  /// batch decodes standalone.
   void recordBatch(const Event *Words, size_t Count) override;
 
   /// Seals the final chunk, writes the end marker, and closes the file.
@@ -178,7 +233,10 @@ public:
 private:
   void sealChunk();
   void writeRaw(const void *Data, size_t Size);
-  void noteActivity(const EventRecord &E);
+  void encodeEvent(EventKind Kind, ThreadId Tid, uint64_t Time,
+                   uint64_t Arg0, uint64_t Arg1);
+  void noteActivity(EventKind Kind, Addr A, uint64_t Cells);
+  void resetDeltaState();
 
   std::FILE *File = nullptr;
   TraceStreamOptions Options;
@@ -194,8 +252,9 @@ private:
   ShardActivityMask ChunkShardMask = {};
   ShardActivityMask ChunkWrittenMask = {};
   /// Per-chunk delta state (reset when a chunk is sealed).
+  ThreadId LastTid = 0;
   uint64_t LastTime = 0;
-  uint64_t LastArg0[32] = {};
+  uint64_t LastArg0[EventTag::Kinds][EventTag::Regions] = {};
   uint64_t EventsWritten = 0;
   uint64_t ChunksWritten = 0;
   uint64_t BytesWritten = 0;
@@ -362,30 +421,42 @@ bool TraceStreamReader::forEachEvent(size_t I, Consumer &&Consume) {
   const auto *P = reinterpret_cast<const unsigned char *>(Payload.data());
   const unsigned char *End = P + Chunks[I].PayloadBytes;
   // Per-chunk delta state: every chunk decodes from a clean slate.
+  uint64_t LastTid = 0;
   uint64_t LastTime = 0;
-  uint64_t LastArg0[32] = {};
+  uint64_t LastArg0[EventTag::Kinds][EventTag::Regions] = {};
   EventRecord E;
   for (uint64_t N = Chunks[I].Events; N != 0; --N) {
     if (P == End)
       return failChunk(I, "corrupt chunk: truncated event");
-    uint8_t KindByte = *P++;
-    if (KindByte > static_cast<uint8_t>(EventKind::ThreadSwitch))
-      return failChunk(I, "corrupt chunk: invalid event kind");
-    // Tid, time delta, zigzag arg0 delta, arg1.
-    uint64_t F[4];
-    for (uint64_t &V : F)
-      if (detail::readVarint(P, End, V) != detail::Parse::Ok)
+    uint8_t Tag = *P++;
+    unsigned Kind = Tag & EventTag::KindMask;
+    unsigned Region = Tag >> EventTag::RegionShift;
+    if (Region != 0 &&
+        (Region >= EventTag::Regions || !(EventTag::AddressKinds >> Kind & 1)))
+      return failChunk(I, "corrupt chunk: invalid event tag");
+    E.Kind = static_cast<EventKind>(Kind);
+    // [tid], time delta, zigzag arg0 delta, [arg1].
+    uint64_t Delta, Zig;
+    if (!(Tag & EventTag::SameTid)) {
+      if (detail::readVarint(P, End, LastTid) != detail::Parse::Ok)
         return failChunk(I, "corrupt chunk: bad event varint");
-    if (F[0] > UINT32_MAX)
-      return failChunk(I, "corrupt chunk: thread id out of range");
-    E.Kind = static_cast<EventKind>(KindByte);
-    E.Tid = static_cast<ThreadId>(F[0]);
-    LastTime += F[1];
+      if (LastTid > UINT32_MAX)
+        return failChunk(I, "corrupt chunk: thread id out of range");
+    }
+    if (detail::readVarint(P, End, Delta) != detail::Parse::Ok ||
+        detail::readVarint(P, End, Zig) != detail::Parse::Ok)
+      return failChunk(I, "corrupt chunk: bad event varint");
+    if (Tag & EventTag::DefaultArg1)
+      E.Arg1 = eventSecondaryDefault(E.Kind);
+    else if (detail::readVarint(P, End, E.Arg1) != detail::Parse::Ok)
+      return failChunk(I, "corrupt chunk: bad event varint");
+    E.Tid = static_cast<ThreadId>(LastTid);
+    LastTime += Delta;
     E.Time = LastTime;
     // Un-zigzag, then add modulo 2^64 (the writer subtracts that way).
-    LastArg0[KindByte] += (F[2] >> 1) ^ (0 - (F[2] & 1));
-    E.Arg0 = LastArg0[KindByte];
-    E.Arg1 = F[3];
+    uint64_t &Pred = LastArg0[Kind][Region];
+    Pred += (Zig >> 1) ^ (0 - (Zig & 1));
+    E.Arg0 = Pred;
     Consume(std::as_const(E));
   }
   if (P != End)

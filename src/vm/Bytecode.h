@@ -21,6 +21,7 @@
 
 #include "instr/SymbolTable.h"
 #include "trace/Event.h"
+#include "trace/TraceStream.h"
 
 #include <cstdint>
 #include <string>
@@ -216,6 +217,12 @@ inline constexpr Addr StackRegionStride = Addr(1) << 17;
 /// GuestAddressCells; spawning one more is a guest runtime error.
 inline constexpr uint64_t MaxGuestThreads =
     (GuestAddressCells - StackRegionBase) / StackRegionStride;
+
+// The stream codec predicts addresses per region (trace/TraceStream.h),
+// so its region bounds are this layout's.
+static_assert(HeapRegionStart == HeapBase &&
+                  StackRegionStart == StackRegionBase,
+              "the stream's address regions must match the VM's layout");
 
 } // namespace isp
 

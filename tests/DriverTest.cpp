@@ -381,17 +381,22 @@ TEST(Driver, StreamingFlagsRejectBadValues) {
         << Flag << ": " << R.Output;
   }
   // Replaying a corrupt stream (here: a header whose length and
-  // checksum are garbage) is a clean diagnostic, not a crash.
+  // checksum are garbage) is a clean diagnostic, not a crash; so is a
+  // stream of the previous format, which no reader is kept for.
   std::string BadPath = ::testing::TempDir() + "isprof_bad_stream.strm";
-  {
-    static const char Bytes[] = "ISPSTM04\0this is not a valid stream tail";
-    std::ofstream Bad(BadPath, std::ios::binary);
-    Bad.write(Bytes, sizeof(Bytes) - 1);
+  for (const char *Magic : {"ISPSTM05", "ISPSTM04"}) {
+    {
+      std::string Bytes = std::string(Magic) + '\0' +
+                          "this is not a valid stream tail";
+      std::ofstream Bad(BadPath, std::ios::binary);
+      Bad.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+    }
+    CommandResult R = runDriver("replay " + BadPath + " --tools=aprof-trms");
+    EXPECT_EQ(R.ExitCode, 1) << R.Output;
+    const char *Why = std::string(Magic) == "ISPSTM05" ? "checksum mismatch"
+                                                       : "bad magic";
+    EXPECT_NE(R.Output.find(Why), std::string::npos) << Magic << R.Output;
   }
-  CommandResult R = runDriver("replay " + BadPath + " --tools=aprof-trms");
-  EXPECT_EQ(R.ExitCode, 1) << R.Output;
-  EXPECT_NE(R.Output.find("checksum mismatch"), std::string::npos)
-      << R.Output;
   std::remove(BadPath.c_str());
 }
 

@@ -22,10 +22,13 @@
 //  - every single-bit flip in a chunk is caught by a checksum and named
 //    by chunk, before any event or mask it guards is used;
 //  - hand-built hostile chunks with valid checksums — overlong varints
-//    (also at the head of a long payload, where the decoder reads whole
-//    words), event counts that do not fit, bytes after the end marker — are
-//    rejected with a diagnostic, never crash, and never allocate beyond
-//    what the actual file bytes can back.
+//    (also at the head of a long payload), tags naming a region their
+//    kind cannot have, event counts that do not fit, bytes after the end
+//    marker, the previous format's magic — are rejected with a
+//    diagnostic, never crash, and never allocate beyond what the actual
+//    file bytes can back;
+//  - the decoded records of the workload streams match a digest pinned
+//    apart from the encoding.
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +43,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -451,8 +455,9 @@ std::string recordWorkloadStream(const char *Workload, uint64_t Size,
 
 TEST(TraceStream, WorkloadStreamsMatchGoldenBytes) {
   // The on-disk format is pinned byte for byte: these lengths and
-  // CRC32Cs are of the streams the per-byte reference writer recorded,
-  // so any writer change that moves a single byte fails here.
+  // CRC32Cs are of the streams this format's writer recorded, so any
+  // writer change that moves a single byte fails here (what the bytes
+  // decode to is pinned apart, by WorkloadStreamsDecodeToGoldenRecords).
   // The 1 KiB rows seal dozens of chunks, each resetting the delta
   // state and the activity masks.
   struct Golden {
@@ -462,18 +467,69 @@ TEST(TraceStream, WorkloadStreamsMatchGoldenBytes) {
     uint32_t Crc;
   };
   const size_t Default = TraceStreamOptions().ChunkBytes;
-  for (const Golden &G : {Golden{"md", Default, 26529, 0x5b7d8dad},
-                          Golden{"dbserver", Default, 69094, 0x257ba652},
-                          Golden{"vips_pipeline", Default, 50893, 0xb09a8d04},
-                          Golden{"md", 1024, 27238, 0x2235a91b},
-                          Golden{"dbserver", 1024, 70886, 0x5cd3981d},
-                          Golden{"vips_pipeline", 1024, 52250, 0x516f8867}}) {
+  for (const Golden &G : {Golden{"md", Default, 15908, 0x9f614dfe},
+                          Golden{"dbserver", Default, 36904, 0x0b485375},
+                          Golden{"vips_pipeline", Default, 29954, 0x177b9606},
+                          Golden{"md", 1024, 16362, 0x4b7a73dd},
+                          Golden{"dbserver", 1024, 38024, 0xefa93edd},
+                          Golden{"vips_pipeline", 1024, 30852, 0xda132aae}}) {
     SCOPED_TRACE(std::string(G.Workload) + " in chunks of " +
                  std::to_string(G.ChunkBytes) + " bytes");
     std::string Bytes = recordWorkloadStream(G.Workload, 16, G.ChunkBytes);
     EXPECT_EQ(Bytes.size(), G.Bytes);
     EXPECT_EQ(crc32c(Bytes.data(), Bytes.size()), G.Crc);
   }
+}
+
+/// A digest of the records a stream decodes to, whatever their encoding:
+/// the event count and a CRC32C over every record's fields in
+/// fixed-width little-endian order.
+std::pair<uint64_t, uint32_t> decodedRecordDigest(const std::string &Bytes) {
+  std::string Path = tempPath("isprof_stream_digest.strm");
+  writeFile(Path, Bytes);
+  TraceStreamReader Reader;
+  EXPECT_TRUE(Reader.open(Path)) << Reader.error();
+  std::vector<EventRecord> Records = readAll(Reader);
+  EXPECT_TRUE(Reader.error().empty()) << Reader.error();
+  std::remove(Path.c_str());
+  std::string Fields;
+  auto Put = [&Fields](uint64_t V, int Bytes) {
+    for (int I = 0; I != Bytes; ++I)
+      Fields.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+  };
+  for (const EventRecord &E : Records) {
+    Put(static_cast<uint64_t>(E.Kind), 1);
+    Put(E.Tid, 4);
+    Put(E.Time, 8);
+    Put(E.Arg0, 8);
+    Put(E.Arg1, 8);
+  }
+  return {Records.size(), crc32c(Fields.data(), Fields.size())};
+}
+
+TEST(TraceStream, WorkloadStreamsDecodeToGoldenRecords) {
+  // What a stream means, pinned apart from its bytes: these digests are
+  // of the records the previous format's writer and reader produced
+  // for the same runs, so a codec change that alters any decoded field
+  // fails here even where the byte-level golden test is re-pinned. The
+  // chunk size changes the bytes, never the records.
+  struct Golden {
+    const char *Workload;
+    uint64_t Events;
+    uint32_t Crc;
+  };
+  const size_t Default = TraceStreamOptions().ChunkBytes;
+  for (const Golden &G : {Golden{"md", 4785, 0xc89c25b9},
+                          Golden{"dbserver", 11401, 0x50f1a1ce},
+                          Golden{"vips_pipeline", 8698, 0x7498a691}})
+    for (size_t ChunkBytes : {Default, size_t(1024)}) {
+      SCOPED_TRACE(std::string(G.Workload) + " in chunks of " +
+                   std::to_string(ChunkBytes) + " bytes");
+      std::pair<uint64_t, uint32_t> Digest =
+          decodedRecordDigest(recordWorkloadStream(G.Workload, 16, ChunkBytes));
+      EXPECT_EQ(Digest.first, G.Events);
+      EXPECT_EQ(Digest.second, G.Crc);
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -576,7 +632,7 @@ TrmsOutcome referenceOfPrefix(const std::string &Bytes, size_t Chunks) {
 void checkReplayPaths(const Program &Prog) {
   std::string Path = tempPath("isprof_stream_live.strm");
   TraceStreamOptions Opts;
-  Opts.ChunkBytes = 32; // even the shortest example spans 3+ chunks
+  Opts.ChunkBytes = 16; // even the shortest example spans 3+ chunks
   TraceStreamWriter Writer;
   ASSERT_TRUE(Writer.open(Path, Prog.Symbols.entries(), Opts))
       << Writer.error();
@@ -821,7 +877,7 @@ struct StreamBuilder {
   /// Starts a stream whose header carries the encoded routine table
   /// \p Table (by default an empty one: a zero count).
   explicit StreamBuilder(const std::string &Table = std::string(1, '\0')) {
-    Bytes.assign("ISPSTM04", 8);
+    Bytes.assign("ISPSTM05", 8);
     appendU32(Bytes, static_cast<uint32_t>(Table.size()));
     appendU32(Bytes, crc32c(Bytes.data(), Bytes.size()));
     Bytes += Table;
@@ -844,14 +900,28 @@ struct StreamBuilder {
   }
 };
 
-/// One well-formed encoded event for hand-built payloads.
+/// One well-formed encoded event for hand-built payloads, with every
+/// field explicit: tag 0 (kind ThreadStart, region 0, no field elided),
+/// then the tid, time-delta, arg0-delta and arg1 varints.
 void appendEvent(std::string &Out, uint64_t Tid = 0, uint64_t TimeDelta = 1,
                  uint64_t Arg0Zigzag = 0, uint64_t Arg1 = 0) {
-  Out.push_back(0); // smallest valid kind
+  Out.push_back(0);
   appendVarint(Out, Tid);
   appendVarint(Out, TimeDelta);
   appendVarint(Out, Arg0Zigzag);
   appendVarint(Out, Arg1);
+}
+
+/// An event whose tag, of kind \p Kind and region \p Region, elides the
+/// tid and arg1: the tag, a one-byte time delta and the arg0 delta
+/// \p Arg0Zigzag. Three bytes while \p Arg0Zigzag is below 128.
+void appendShortEvent(std::string &Out, EventKind Kind = EventKind::ThreadStart,
+                      unsigned Region = 0, uint64_t Arg0Zigzag = 0) {
+  Out.push_back(static_cast<char>(static_cast<unsigned>(Kind) |
+                                  EventTag::DefaultArg1 | EventTag::SameTid |
+                                  Region << EventTag::RegionShift));
+  appendVarint(Out, 1);
+  appendVarint(Out, Arg0Zigzag);
 }
 
 /// Opens the stream in \p Bytes and, if that succeeds, reads every
@@ -876,13 +946,35 @@ std::string probeStream(const std::string &Bytes, const char *Name) {
 }
 
 TEST(TraceStreamHardening, BuilderMatchesTheWriter) {
-  // The builder's framing is the real one: a well-formed payload and a
-  // well-formed routine table read back.
+  // The builder's framing and event encoding are the real ones: the
+  // writer encodes these two records to exactly the builder's payload —
+  // a ThreadStart with every field explicit, then a stack-region Read
+  // that repeats the tid, has the default one cell and is coded against
+  // the stack predictor — and the built stream reads back to them.
+  const std::vector<EventRecord> Records = {
+      {EventKind::ThreadStart, 2, 5, 0, 1},
+      EventRecord::read(2, 6, StackRegionStart)};
   std::string Payload;
   appendEvent(Payload, 2, 5, 0, 1);
+  appendShortEvent(Payload, EventKind::Read, 2, StackRegionStart << 1);
   StreamBuilder B;
-  B.addChunk(Payload, 1);
-  EXPECT_EQ(probeStream(B.finish(), "isprof_stream_builder.strm"), "");
+  B.addChunk(Payload, Records.size());
+  std::string BuiltPath = tempPath("isprof_stream_builder.strm");
+  writeFile(BuiltPath, B.finish());
+  TraceStreamReader Built;
+  ASSERT_TRUE(Built.open(BuiltPath)) << Built.error();
+  EXPECT_EQ(readAll(Built), Records);
+  EXPECT_TRUE(Built.error().empty()) << Built.error();
+  std::remove(BuiltPath.c_str());
+
+  std::string WriterPath = tempPath("isprof_stream_builderwriter.strm");
+  writeStream(WriterPath, Records, {});
+  std::string Written = readFile(WriterPath);
+  std::remove(WriterPath.c_str());
+  StreamLayout L = layoutOf(Written);
+  ASSERT_EQ(L.Chunks.size(), 1u);
+  const StreamLayout::Chunk &C = L.Chunks[0];
+  EXPECT_EQ(Written.substr(C.Payload, C.End - 4 - C.Payload), Payload);
 
   std::string Table;
   appendVarint(Table, 1);
@@ -903,7 +995,7 @@ TEST(TraceStreamHardening, RejectsOverlongVarintInsideChunk) {
   // uint64 can need. The checksums are valid, so only the in-chunk
   // varint decoder can catch it.
   std::string Payload;
-  Payload.push_back(0);     // kind
+  Payload.push_back(0);     // tag: every field explicit
   appendVarint(Payload, 0); // tid
   for (int I = 0; I != 11; ++I)
     Payload.push_back(static_cast<char>(0x81));
@@ -995,7 +1087,7 @@ TEST(TraceStreamHardening, FinalEventNearThePayloadEndIsBoundsChecked) {
   const uint64_t Events = 60;
 
   std::string Cut = Long;
-  Cut.push_back(0);           // kind
+  Cut.push_back(0);           // tag: every field explicit
   appendVarint(Cut, 0);       // tid
   Cut.push_back(static_cast<char>(0x81));
   Cut.push_back(static_cast<char>(0x81)); // time delta runs off the end
@@ -1006,7 +1098,7 @@ TEST(TraceStreamHardening, FinalEventNearThePayloadEndIsBoundsChecked) {
             std::string::npos)
       << Diag;
 
-  // One event fewer than the header claims: the kind byte is missing.
+  // One event fewer than the header claims: the tag byte is missing.
   StreamBuilder B2;
   B2.addChunk(Long, Events + 1);
   Diag = probeStream(B2.finish(), "isprof_stream_missingfinal.strm");
@@ -1048,6 +1140,94 @@ TEST(TraceStreamHardening, RejectsEventCountDisagreement) {
   B2.addChunk(Padded, /*Events=*/3);
   Diag = probeStream(B2.finish(), "isprof_stream_disagree2.strm");
   EXPECT_NE(Diag.find("corrupt chunk"), std::string::npos) << Diag;
+}
+
+TEST(TraceStreamHardening, RejectsRegionBitsOutsideTheMemoryKinds) {
+  // Only the six address-carrying kinds have a region, and only regions
+  // 0..2 exist. Every other tag is refused by name, even though the
+  // chunk's checksums are valid.
+  const std::vector<EventKind> MemoryKinds = {
+      EventKind::Read,        EventKind::Write, EventKind::KernelRead,
+      EventKind::KernelWrite, EventKind::Alloc, EventKind::Free};
+  for (unsigned K = 0; K != EventTag::Kinds; ++K) {
+    EventKind Kind = static_cast<EventKind>(K);
+    bool Memory = std::find(MemoryKinds.begin(), MemoryKinds.end(), Kind) !=
+                  MemoryKinds.end();
+    for (unsigned Region = 0; Region != 4; ++Region) {
+      SCOPED_TRACE(std::string(eventKindName(Kind)) + " in region " +
+                   std::to_string(Region));
+      std::string Payload;
+      appendShortEvent(Payload, Kind, Region);
+      StreamBuilder B;
+      B.addChunk(Payload, 1);
+      std::string Diag = probeStream(B.finish(), "isprof_stream_region.strm");
+      if (Region == 0 || (Memory && Region != 3))
+        EXPECT_EQ(Diag, "");
+      else
+        EXPECT_EQ(Diag, "chunk 0: corrupt chunk: invalid event tag");
+    }
+  }
+}
+
+TEST(TraceStreamHardening, RejectsRegionThreeAfterGoodEvents) {
+  // Region 3 on a Read, the commonest kind, after well-formed events:
+  // the records before it are delivered, then the tag is refused.
+  std::string Payload;
+  for (int I = 0; I != 4; ++I)
+    appendShortEvent(Payload, EventKind::Read, 1);
+  appendShortEvent(Payload, EventKind::Read, 3);
+  StreamBuilder B;
+  B.addChunk(Payload, 5);
+  std::string Path = tempPath("isprof_stream_region3.strm");
+  writeFile(Path, B.finish());
+  TraceStreamReader Reader;
+  ASSERT_TRUE(Reader.open(Path)) << Reader.error();
+  uint64_t Delivered = 0;
+  EXPECT_FALSE(Reader.forEachEvent(0, [&](const EventRecord &) {
+    ++Delivered;
+  }));
+  EXPECT_EQ(Delivered, 4u);
+  EXPECT_EQ(Reader.error(), "chunk 0: corrupt chunk: invalid event tag");
+  std::remove(Path.c_str());
+}
+
+TEST(TraceStreamHardening, AcceptsThreeByteEvents) {
+  // The shortest event is three bytes, so a header may claim one event
+  // per three payload bytes — and no more.
+  const uint64_t Events = 100;
+  std::string Payload;
+  for (uint64_t I = 0; I != Events; ++I)
+    appendShortEvent(Payload, EventKind::Write, 2);
+  ASSERT_EQ(Payload.size(), 3 * Events);
+  StreamBuilder B;
+  B.addChunk(Payload, Events);
+  EXPECT_EQ(probeStream(B.finish(), "isprof_stream_threebyte.strm"), "");
+
+  StreamBuilder B2;
+  B2.addChunk(Payload, Events + 1);
+  std::string Diag = probeStream(B2.finish(), "isprof_stream_threebyte2.strm");
+  EXPECT_NE(Diag.find("chunk 0: corrupt chunk header: event count does not "
+                      "fit the payload"),
+            std::string::npos)
+      << Diag;
+}
+
+TEST(TraceStreamHardening, RejectsThePreviousFormat) {
+  // A well-formed stream under the previous format's magic is not read
+  // as this one: there is one format, and one reader.
+  std::string Payload;
+  appendEvent(Payload);
+  StreamBuilder B;
+  B.addChunk(Payload, 1);
+  std::string Bytes = B.finish();
+  Bytes.replace(0, 8, "ISPSTM04");
+  std::string Path = tempPath("isprof_stream_v4.strm");
+  writeFile(Path, Bytes);
+  TraceStreamReader Reader;
+  EXPECT_FALSE(Reader.open(Path));
+  EXPECT_EQ(Reader.error(), "not a trace stream: bad magic");
+  EXPECT_FALSE(isTraceStreamFile(Path));
+  std::remove(Path.c_str());
 }
 
 TEST(TraceStreamHardening, RejectsHugeEventCountWithoutAllocating) {
