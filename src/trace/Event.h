@@ -82,6 +82,12 @@ using Addr = uint64_t;
 /// is below this bound. The VM lays its regions out inside it and the
 /// shadow memories cover exactly this range.
 inline constexpr Addr GuestAddressCells = Addr(1) << 27;
+/// The guest address regions: globals below HeapRegionStart, the heap
+/// below StackRegionStart, per-thread stacks above. The VM lays its
+/// memory out on these bounds (vm/Bytecode.h) and the stream codec
+/// predicts addresses per region (trace/TraceStream.h).
+inline constexpr Addr HeapRegionStart = Addr(1) << 22;
+inline constexpr Addr StackRegionStart = Addr(1) << 24;
 
 /// Identifies a synchronization object (semaphore or mutex).
 using SyncId = uint32_t;

@@ -282,15 +282,13 @@ void TraceStreamWriter::resetDeltaState() {
   std::memset(LastArg0, 0, sizeof(LastArg0));
 }
 
-void TraceStreamWriter::encodeEvent(EventKind Kind, ThreadId Tid,
-                                    uint64_t Time, uint64_t Arg0,
-                                    uint64_t Arg1) {
-  noteActivity(Kind, Arg0, Arg1);
-  unsigned K = static_cast<unsigned>(Kind);
+void TraceStreamWriter::encodeEvent(const EventRecord &E) {
+  noteActivity(E.Kind, E.Arg0, E.Arg1);
+  unsigned K = static_cast<unsigned>(E.Kind);
   unsigned Region =
-      (EventTag::AddressKinds >> K & 1) ? EventTag::region(Arg0) : 0;
-  bool DefaultArg1 = Arg1 == eventSecondaryDefault(Kind);
-  bool SameTid = Tid == LastTid;
+      (EventTag::AddressKinds >> K & 1) ? EventTag::region(E.Arg0) : 0;
+  bool DefaultArg1 = E.Arg1 == eventSecondaryDefault(E.Kind);
+  bool SameTid = E.Tid == LastTid;
   // A chunk seals as soon as it reaches ChunkBytes, so one worst-case
   // event always fits in the buffer.
   char *P = Buffer.data() + Used;
@@ -298,17 +296,17 @@ void TraceStreamWriter::encodeEvent(EventKind Kind, ThreadId Tid,
                            (SameTid ? EventTag::SameTid : 0) |
                            Region << EventTag::RegionShift);
   if (!SameTid) {
-    P = putVarint(P, Tid);
-    LastTid = Tid;
+    P = putVarint(P, E.Tid);
+    LastTid = E.Tid;
   }
-  P = putVarint(P, Time - LastTime);
-  LastTime = Time;
+  P = putVarint(P, E.Time - LastTime);
+  LastTime = E.Time;
   // The delta wraps modulo 2^64; the reader adds it back the same way.
   uint64_t &Pred = LastArg0[K][Region];
-  P = putVarint(P, zigzag(static_cast<int64_t>(Arg0 - Pred)));
-  Pred = Arg0;
+  P = putVarint(P, zigzag(static_cast<int64_t>(E.Arg0 - Pred)));
+  Pred = E.Arg0;
   if (!DefaultArg1)
-    P = putVarint(P, Arg1);
+    P = putVarint(P, E.Arg1);
   Used = static_cast<size_t>(P - Buffer.data());
   ++ChunkEvents;
   ++EventsWritten;
@@ -318,50 +316,17 @@ void TraceStreamWriter::encodeEvent(EventKind Kind, ThreadId Tid,
 }
 
 void TraceStreamWriter::append(const EventRecord &E) {
-  // A fresh encoder, so the words decode standalone like a batch.
-  Event Words[Event::MaxWordsPerRecord];
-  recordBatch(Words, EventEncoder().encode(E, Words));
+  if (Failed || !File)
+    return;
+  encodeEvent(E);
 }
 
 void TraceStreamWriter::recordBatch(const Event *Words, size_t Count) {
-  if (Failed || !File)
-    return;
-  // The word decoder's time base, inlined (trace/Event.h): every batch
-  // starts at epoch zero, an escape word sets the epoch, and a TimeLow
-  // below the previous one means the low half wrapped.
-  uint64_t Epoch = 0;
-  uint32_t PrevLow = 0;
-  const Event *W = Words, *End = Words + Count;
-  while (W != End) {
-    const Event &Main = *W++;
-    if (Main.isEscape()) {
-      Epoch = Main.Arg;
-      PrevLow = 0;
-      continue;
-    }
-    if (Main.TimeLow < PrevLow)
-      ++Epoch;
-    PrevLow = Main.TimeLow;
-    EventKind Kind = Main.kind();
-    ThreadId Tid = Main.inlineTid();
-    uint64_t Secondary = eventSecondaryDefault(Kind);
-    if (Main.hasFollow()) {
-      if (W == End)
-        return; // a record cut mid-way ends the batch, as in EventDecoder
-      Secondary = W->Arg;
-      if (W->TimeLow != 0)
-        Tid = W->TimeLow;
-      ++W;
-    }
-    uint64_t Time = Epoch << 32 | Main.TimeLow;
-    // BasicBlock keeps its count (Arg1) in the main word.
-    if (Kind == EventKind::BasicBlock)
-      encodeEvent(Kind, Tid, Time, Secondary, Main.Arg);
-    else
-      encodeEvent(Kind, Tid, Time, Main.Arg, Secondary);
-    if (Failed)
-      return;
-  }
+  // Every flushed batch decodes standalone; encode its records one at a
+  // time into the open chunk.
+  EventStreamView V(Words, Count);
+  for (EventRecord E; !Failed && File && V.next(E);)
+    encodeEvent(E);
 }
 
 void TraceStreamWriter::sealChunk() {

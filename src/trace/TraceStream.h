@@ -136,12 +136,6 @@ using ShardActivityMask = std::array<uint64_t, 4>;
 /// guards the stream header, every chunk header and every payload.
 uint32_t crc32c(const void *Data, size_t Size);
 
-/// The guest address regions the event codec predicts Arg0 within (the
-/// VM's layout, statically asserted in vm/Bytecode.h): globals below
-/// HeapRegionStart, the heap below StackRegionStart, stacks above.
-inline constexpr Addr HeapRegionStart = Addr(1) << 22;
-inline constexpr Addr StackRegionStart = Addr(1) << 24;
-
 /// Tag-byte fields of an encoded event (see the layout above).
 struct EventTag {
   static constexpr uint8_t KindMask = 0x0f;
@@ -160,7 +154,7 @@ struct EventTag {
       1u << unsigned(EventKind::KernelWrite) |
       1u << unsigned(EventKind::Alloc) | 1u << unsigned(EventKind::Free);
 
-  /// The region of address \p A: 0, 1 or 2.
+  /// The region of address \p A (trace/Event.h): 0, 1 or 2.
   static constexpr unsigned region(Addr A) {
     return unsigned(A >= HeapRegionStart) + unsigned(A >= StackRegionStart);
   }
@@ -203,13 +197,11 @@ public:
 
   /// Appends one event to the current chunk, sealing it to disk when
   /// the target payload size is reached. I/O errors are sticky: the
-  /// writer goes inert and close() reports the failure. The record is
-  /// packed into stream words and goes through recordBatch, so records
-  /// and dispatcher batches share one encoder.
+  /// writer goes inert and close() reports the failure.
   void append(const EventRecord &E);
   /// Appends a flushed dispatcher batch of packed stream words (the
-  /// RecordSink hook), encoding each event straight from its words; each
-  /// batch decodes standalone.
+  /// RecordSink hook): each batch decodes standalone, and each of its
+  /// records goes through the same encoder as append().
   void recordBatch(const Event *Words, size_t Count) override;
 
   /// Seals the final chunk, writes the end marker, and closes the file.
@@ -233,8 +225,7 @@ public:
 private:
   void sealChunk();
   void writeRaw(const void *Data, size_t Size);
-  void encodeEvent(EventKind Kind, ThreadId Tid, uint64_t Time,
-                   uint64_t Arg0, uint64_t Arg1);
+  void encodeEvent(const EventRecord &E);
   void noteActivity(EventKind Kind, Addr A, uint64_t Cells);
   void resetDeltaState();
 

@@ -21,7 +21,6 @@
 
 #include "instr/SymbolTable.h"
 #include "trace/Event.h"
-#include "trace/TraceStream.h"
 
 #include <cstdint>
 #include <string>
@@ -208,21 +207,15 @@ struct Program {
 /// actually used.
 inline constexpr Addr GlobalBase = 16;
 /// Base address of the heap region.
-inline constexpr Addr HeapBase = Addr(1) << 22;
+inline constexpr Addr HeapBase = HeapRegionStart;
 /// Base address of the per-thread stack regions; thread t's stack starts
 /// at StackRegionBase + t * StackRegionStride.
-inline constexpr Addr StackRegionBase = Addr(1) << 24;
+inline constexpr Addr StackRegionBase = StackRegionStart;
 inline constexpr Addr StackRegionStride = Addr(1) << 17;
 /// Most guest threads (main included) whose stack regions fit below
 /// GuestAddressCells; spawning one more is a guest runtime error.
 inline constexpr uint64_t MaxGuestThreads =
     (GuestAddressCells - StackRegionBase) / StackRegionStride;
-
-// The stream codec predicts addresses per region (trace/TraceStream.h),
-// so its region bounds are this layout's.
-static_assert(HeapRegionStart == HeapBase &&
-                  StackRegionStart == StackRegionBase,
-              "the stream's address regions must match the VM's layout");
 
 } // namespace isp
 
